@@ -2,41 +2,31 @@
 // approaches — WriteWithImm vs Write+Send with 4..512-byte metadata — the
 // microbenchmark behind KafkaDirect's choice of WriteWithImm (§4.2.2).
 #include "bench/microbench_util.h"
-#include "direct/control.h"
 
 namespace kafkadirect {
 namespace bench {
 namespace {
 
-using kd::NotifyMode;
-using kd::NotifyPlan;
-using kd::PlanNotification;
-
-// The production notification planner, driven per column: meta size 0 is
-// the WriteWithImm scheme, anything else the Write+Send scheme.
-NotifyPlan PlanFor(uint32_t send_meta_size) {
-  return PlanNotification(send_meta_size == 0 ? NotifyMode::kWriteImm
-                                              : NotifyMode::kWriteSend,
-                          /*write_len=*/0, /*crossover_bytes=*/0);
-}
-
 // One produce = the data write (+ the separate metadata Send when
-// `send_meta_size` > 0). Latency = initiator round trip of the
+// `send_meta_size` > 0): meta size 0 is the WriteWithImm scheme, anything
+// else the Write+Send scheme, whose data Write carries no notification.
+// Latency = initiator round trip of the
 // notification; the Send is ordered behind the Write by RC semantics.
 sim::Co<void> NotifyOnce(MicroRig* rig, MicroClient* client,
                          uint32_t send_meta_size,
                          std::vector<uint8_t>* meta_buf, int* done) {
-  NotifyPlan plan = PlanFor(send_meta_size);
+  const bool separate_send = send_meta_size != 0;
   rdma::WorkRequest write;
-  write.opcode = plan.data_opcode;
-  write.signaled = !plan.separate_send;
+  write.opcode =
+      separate_send ? rdma::Opcode::kWrite : rdma::Opcode::kWriteWithImm;
+  write.signaled = !separate_send;
   write.local_addr = client->payload.data();
   write.length = static_cast<uint32_t>(client->payload.size());
   write.remote_addr = rig->buffer_addr();
   write.rkey = rig->buffer_rkey();
   write.imm_data = 7;
   KD_CHECK_OK(client->qp->PostSend(write));
-  if (plan.separate_send) {
+  if (separate_send) {
     rdma::WorkRequest send;
     send.opcode = rdma::Opcode::kSend;
     send.local_addr = meta_buf->data();
@@ -84,20 +74,21 @@ double BandwidthPoint(size_t write_size, uint32_t send_meta_size) {
                    std::vector<uint8_t>* meta_buf, uint64_t n,
                    int* done) -> sim::Co<void> {
     // Pipelined: up to 32 notifications in flight.
-    NotifyPlan plan = PlanFor(meta_size);
+    const bool separate_send = meta_size != 0;
     uint64_t completed = 0, posted = 0;
     while (completed < n) {
       while (posted < n && posted - completed < 32) {
         rdma::WorkRequest write;
-        write.opcode = plan.data_opcode;
-        write.signaled = !plan.separate_send;
+        write.opcode = separate_send ? rdma::Opcode::kWrite
+                                     : rdma::Opcode::kWriteWithImm;
+        write.signaled = !separate_send;
         write.local_addr = client->payload.data();
         write.length = static_cast<uint32_t>(client->payload.size());
         write.remote_addr = rig->buffer_addr();
         write.rkey = rig->buffer_rkey();
         write.imm_data = 7;
         if (!client->qp->PostSend(write).ok()) break;
-        if (plan.separate_send) {
+        if (separate_send) {
           rdma::WorkRequest send;
           send.opcode = rdma::Opcode::kSend;
           send.local_addr = meta_buf->data();

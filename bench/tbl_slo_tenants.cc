@@ -1,5 +1,5 @@
 // SLO audit table: N tenants produce concurrently into one shared
-// partition (replicated, receiver-paced credits) while one consumer drains
+// partition (replicated, fixed credit window) while one consumer drains
 // it; the per-tenant delivery-delay percentiles, goodput, and the topic's
 // Jain fairness index come straight out of the always-on SloTracker.
 //
@@ -30,7 +30,6 @@ void Run() {
   deploy.broker.rdma_produce = true;
   deploy.broker.rdma_consume = true;
   deploy.broker.rdma_replicate = true;
-  deploy.broker.receiver_paced_credits = true;
   harness::TestCluster cluster(deploy);
 
   harness::EndToEndOptions options;
@@ -46,7 +45,7 @@ void Run() {
 
   harness::PrintFigureHeader(
       "SLO audit", "Per-tenant delivery delay and goodput (shared produce, "
-                   "rf=2, receiver-paced credits)",
+                   "rf=2)",
       {"tenant", "records", "MiB/s", "p50_us", "p99_us", "p999_us"});
   std::vector<double> goodputs;
   cluster.fabric().obs().slo.ForEach(

@@ -1,7 +1,6 @@
 #include "direct/kd_broker.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "common/logging.h"
@@ -17,6 +16,22 @@ using kafka::TopicPartitionId;
 
 /// Ctrl-message receives posted per accepted QP (without the SRQ).
 constexpr int kCtrlRecvsPerQp = 256;
+
+/// Cap on a follower's replication credit window, so a fast leader can
+/// never overrun a slow follower's ctrl receives. Each uncredited write
+/// holds one receive and may be trailed by one HWM-update Send holding
+/// another, so W credits pin at most 2W + 1 receives.
+constexpr uint32_t kMaxReplicationCredits = (kCtrlRecvsPerQp - 1) / 2;
+
+/// Ring consume publishes the tail after this many pushed bytes (and
+/// whenever the pusher goes idle, so a consumer never waits on a partial
+/// interval).
+constexpr uint64_t kRingTailIntervalBytes = 16 * 1024;
+
+/// §14: notify credits granted per logical stream at open.
+constexpr uint32_t kMuxStreamCredits = 4;
+/// §14: client backoff carried in an admission-control rejection.
+constexpr sim::TimeNs kAdmissionRetryAfterNs = 1 * 1000 * 1000;  // 1 ms
 
 /// §14: consumer-session slab pool size when metadata_arena is on. Full
 /// pool -> graceful fallback to a per-session registration.
@@ -96,9 +111,7 @@ KafkaDirectBroker::KafkaDirectBroker(sim::Simulator& sim, net::Fabric& fabric,
   kd_obs_.credits_outstanding =
       m.GetGauge("kd.direct.repl.credits_outstanding");
   kd_obs_.credit_cap = m.GetGauge("kd.direct.repl.credit_cap");
-  if (config_.receiver_paced_credits) {
-    kd_obs_.credit_cap->Set(static_cast<int64_t>(PacedCreditCap()));
-  }
+  kd_obs_.credit_cap->Set(static_cast<int64_t>(kMaxReplicationCredits));
   if (config_.qp_mux) {
     // §14 admission plane. Only registered when the mux is on so the
     // monitor's admission invariant stays vacuous for paper-exact runs.
@@ -146,7 +159,7 @@ Status KafkaDirectBroker::Start() {
       max_streams = config_.admission_max_streams;
     }
     mux_ = std::make_unique<rdma::QpMux>(*meta_arena_, max_streams,
-                                         config_.mux_stream_credits,
+                                         kMuxStreamCredits,
                                          fabric_.obs().metrics);
     if (adm_obs_.capacity != nullptr) {
       adm_obs_.capacity->Set(static_cast<int64_t>(max_streams));
@@ -380,32 +393,6 @@ void KafkaDirectBroker::SendCtrl(uint32_t qp_num, const CtrlMsg& msg) {
   kd_obs_.ctrl_msgs->Increment();
 }
 
-void KafkaDirectBroker::SendCtrlBatch(uint32_t qp_num,
-                                      std::span<const CtrlMsg> msgs) {
-  auto it = rdma_qps_.find(qp_num);
-  if (it == rdma_qps_.end()) return;
-  // Chain the whole fan-out behind one doorbell; chunk so a burst never
-  // exceeds the QP's send-queue capacity.
-  constexpr size_t kChunk = 16;
-  std::vector<rdma::WorkRequest> wrs;
-  wrs.reserve(std::min(msgs.size(), kChunk));
-  for (size_t i = 0; i < msgs.size(); i += kChunk) {
-    wrs.clear();
-    for (size_t j = i; j < std::min(msgs.size(), i + kChunk); j++) {
-      rdma::WorkRequest wr;
-      wr.opcode = rdma::Opcode::kSend;
-      wr.signaled = false;
-      wr.send_inline = true;
-      msgs[j].EncodeTo(wr.inline_data);
-      wr.length = kCtrlMsgSize;
-      wrs.push_back(wr);
-    }
-    (void)it->second->PostSend(std::span<const rdma::WorkRequest>(wrs));
-    rdma_acks_sent_ += wrs.size();
-    kd_obs_.ctrl_msgs->Increment(wrs.size());
-  }
-}
-
 // ---------------------------------------------------------------------------
 // RDMA network module (§4.1): CQ poller feeding the shared request queue
 // ---------------------------------------------------------------------------
@@ -577,32 +564,14 @@ void KafkaDirectBroker::AbortFile(RdmaFileState* fs, ErrorCode error) {
   // file again, §4.2.2).
   if (fs->mr != nullptr) (void)rnic_.DeregisterMemory(fs->mr);
   if (fs->atomic_mr != nullptr) (void)rnic_.DeregisterMemory(fs->atomic_mr);
-  if (config_.rdma_postlist) {
-    // Group the abort fan-out by QP so each producer gets one chained
-    // postlist instead of one doorbell per pending ack.
-    std::map<uint32_t, std::vector<CtrlMsg>> by_qp;
-    for (auto& [order, pending] : fs->pending) {
-      if (pending.qp_num == 0) continue;
+  for (auto& [order, pending] : fs->pending) {
+    if (pending.qp_num != 0) {
       CtrlMsg msg;
       msg.kind = CtrlKind::kProduceAck;
       msg.order = order;
       msg.error = static_cast<uint16_t>(error);
       msg.stream = pending.stream;
-      by_qp[pending.qp_num].push_back(msg);
-    }
-    for (auto& [qp_num, msgs] : by_qp) {
-      SendCtrlBatch(qp_num, msgs);
-    }
-  } else {
-    for (auto& [order, pending] : fs->pending) {
-      if (pending.qp_num != 0) {
-        CtrlMsg msg;
-        msg.kind = CtrlKind::kProduceAck;
-        msg.order = order;
-        msg.error = static_cast<uint16_t>(error);
-        msg.stream = pending.stream;
-        SendCtrl(pending.qp_num, msg);
-      }
+      SendCtrl(pending.qp_num, msg);
     }
   }
   fs->pending.clear();
@@ -840,11 +809,7 @@ sim::Co<void> KafkaDirectBroker::CommitRdmaWrite(RdmaFileState* fs,
 
     if (fs->replica) {
       stats_.replication_writes++;
-      if (config_.receiver_paced_credits) {
-        PacedCreditOnCommit(fs, cur_qp);
-      } else {
-        GrantCredit(cur_qp, ps);
-      }
+      GrantCredit(cur_qp, ps);
     } else {
       OnAppended(*ps, pos, cur_len, base, count);
       ps->leo_advanced.Pulse();
@@ -979,11 +944,7 @@ sim::Co<Status> KafkaDirectBroker::PushHandshake(PushSession* session,
   session->rkey = resp.rkey;
   session->capacity = resp.capacity;
   session->next_order = 0;
-  if (session->credits == nullptr || config_.receiver_paced_credits) {
-    // A paced follower resets its credit window on every handshake, so
-    // discard any stale permits to keep both sides' outstanding counts in
-    // agreement. (Safe: only this coroutine ever waits on the semaphore,
-    // and it is not waiting now.)
+  if (session->credits == nullptr) {
     session->credits = std::make_unique<sim::Semaphore>(sim_, resp.credits);
   }
   (void)ps;
@@ -1073,28 +1034,7 @@ sim::Co<void> KafkaDirectBroker::PushReplicatorLoop(
     wr.rkey = s->rkey;
     wr.imm_data = EncodeImm(s->next_order++, s->file_id);
     while (true) {
-      Status st;
-      int64_t hwm_now = ps->log.high_watermark();
-      if (config_.rdma_postlist && hwm_now != last_hwm_sent) {
-        // Chain the data write and the HWM-update Send into one postlist:
-        // both leave behind a single doorbell, and RC ordering still
-        // delivers the Send after the write has landed.
-        CtrlMsg msg;
-        msg.kind = CtrlKind::kHwmUpdate;
-        msg.value = hwm_now;
-        msg.aux = s->file_id;
-        rdma::WorkRequest chain[2];
-        chain[0] = wr;
-        chain[1].opcode = rdma::Opcode::kSend;
-        chain[1].signaled = false;
-        chain[1].send_inline = true;
-        msg.EncodeTo(chain[1].inline_data);
-        chain[1].length = kCtrlMsgSize;
-        st = s->qp->PostSend(std::span<const rdma::WorkRequest>(chain, 2));
-        if (st.ok()) last_hwm_sent = hwm_now;
-      } else {
-        st = s->qp->PostSend(wr);
-      }
+      Status st = s->qp->PostSend(wr);
       if (st.ok()) break;
       if (st.IsDisconnected()) co_return;
       co_await sim::Delay(sim_, 1000);  // send queue full; retry shortly
@@ -1185,115 +1125,36 @@ sim::Co<void> KafkaDirectBroker::HandleReplicaAccess(Request req) {
   resp.rkey = fs->mr->rkey();
   resp.capacity = ps->log.head().capacity();
   resp.write_pos = fs->next_commit_pos;
-  uint32_t credits = config_.push_replication_credits;
-  if (config_.receiver_paced_credits) {
-    // Receiver pacing (DESIGN.md §12): the initial window is capped below
-    // this follower's posted ctrl-receive pool so the leader can never RNR
-    // us, and the pacer re-sizes it from the observed commit drain rate.
-    credits = std::min(credits, PacedCreditCap());
-    fs->pacer.credits_outstanding = credits;
+  // The fixed window, clamped so a fast leader can never exhaust this
+  // follower's posted ctrl receives (inert for windows at or below the cap).
+  const uint32_t credits =
+      std::min(config_.push_replication_credits, kMaxReplicationCredits);
+  if (areq.stale_file_id == 0) {
+    // A new session. A roll keeps the count: the leader's credit semaphore
+    // survives segment rolls.
+    Ext(*ps)->repl_credits_outstanding = credits;
     kd_obs_.credits_outstanding->Set(static_cast<int64_t>(credits));
-    sim::Spawn(sim_, CreditFlushLoop(fs));
   }
   resp.credits = credits;
   SendResponse(req.conn, Encode(resp));
 }
 
 void KafkaDirectBroker::GrantCredit(uint32_t qp_num, PartitionState* ps) {
+  // One credit back per committed write (§4.3.2). The seeded fault grants
+  // extra so the monitor's direct.credit_window watcher demonstrably fires.
+  const uint32_t grant = 1 + config_.fault_credit_overgrant;
   CtrlMsg msg;
   msg.kind = CtrlKind::kCredit;
-  msg.aux = 1;
+  msg.aux = grant;
   msg.value = ps->log.log_end_offset();
   SendCtrl(qp_num, msg);
+  // The committed write consumed one credit; the grant returns `grant`.
+  uint32_t& outstanding = Ext(*ps)->repl_credits_outstanding;
+  outstanding += grant - 1;
+  kd_obs_.credits_outstanding->Set(static_cast<int64_t>(outstanding));
   flight_->Record(flight_shard_, sim_.Now(),
-                  obs::FlightEventType::kCreditGrant, qp_num, 1,
+                  obs::FlightEventType::kCreditGrant, qp_num, grant,
                   static_cast<uint64_t>(msg.value));
-}
-
-uint32_t KafkaDirectBroker::PacedCreditCap() const {
-  return static_cast<uint32_t>(kCtrlRecvsPerQp) * 3 / 4;
-}
-
-uint32_t KafkaDirectBroker::PacedTargetWindow(const RdmaFileState* fs) const {
-  const uint32_t cap = PacedCreditCap();
-  double drain_ns = fs->pacer.ewma_commit_interval_ns;
-  if (drain_ns <= 0) return cap;  // no drain samples yet: open the window
-  // The window must cover one grant round trip of drain at the observed
-  // commit rate; 4x headroom absorbs poller batching and queueing jitter.
-  double rtt_ns = 2.0 * cost().link.propagation_ns +
-                  cost().cpu.poll_iteration_ns +
-                  cost().kafka.replication_post_ns;
-  auto target = static_cast<uint32_t>(std::ceil(4.0 * rtt_ns / drain_ns));
-  return std::clamp<uint32_t>(target, 8, cap);
-}
-
-void KafkaDirectBroker::PacedCreditOnCommit(RdmaFileState* fs,
-                                            uint32_t qp_num) {
-  RdmaFileState::CreditPacer& p = fs->pacer;
-  if (qp_num != 0) p.qp_num = qp_num;
-  sim::TimeNs now = sim_.Now();
-  if (p.last_commit_ns != 0) {
-    auto interval = static_cast<double>(now - p.last_commit_ns);
-    p.ewma_commit_interval_ns =
-        p.ewma_commit_interval_ns <= 0
-            ? interval
-            : 0.75 * p.ewma_commit_interval_ns + 0.25 * interval;
-  }
-  p.last_commit_ns = now;
-  if (p.credits_outstanding > 0) p.credits_outstanding--;
-  kd_obs_.credits_outstanding->Set(
-      static_cast<int64_t>(p.credits_outstanding));
-  p.pending_grants++;
-  // Batch grants (~a quarter window per credit message) but flush early
-  // when the leader is close to running dry so throughput never stalls.
-  uint32_t target = PacedTargetWindow(fs);
-  bool leader_low = p.credits_outstanding * 2 < target;
-  if (leader_low || p.pending_grants >= std::max<uint32_t>(1, target / 4)) {
-    FlushPacedCredits(fs);
-  }
-}
-
-void KafkaDirectBroker::FlushPacedCredits(RdmaFileState* fs) {
-  RdmaFileState::CreditPacer& p = fs->pacer;
-  if (p.qp_num == 0 || fs->aborted) return;
-  uint32_t target = PacedTargetWindow(fs);
-  uint32_t grant =
-      p.credits_outstanding < target ? target - p.credits_outstanding : 0;
-  // Seeded fault (BrokerConfig::fault_credit_overgrant): grant beyond the
-  // pacer window so the monitor's credit invariant demonstrably fires.
-  grant += config_.fault_credit_overgrant;
-  int64_t leo = fs->ps->log.log_end_offset();
-  if (grant == 0 && leo == p.last_leo_sent) {
-    p.pending_grants = 0;  // window already full and the LEO is current
-    return;
-  }
-  CtrlMsg msg;
-  msg.kind = CtrlKind::kCredit;
-  msg.aux = grant;  // leader Releases aux permits; 0 = LEO-only update
-  msg.value = leo;
-  SendCtrl(p.qp_num, msg);
-  p.credits_outstanding += grant;
-  kd_obs_.credits_outstanding->Set(
-      static_cast<int64_t>(p.credits_outstanding));
-  p.pending_grants = 0;
-  p.last_leo_sent = leo;
-  flight_->Record(flight_shard_, sim_.Now(),
-                  obs::FlightEventType::kCreditGrant, p.qp_num, grant,
-                  static_cast<uint64_t>(leo));
-}
-
-sim::Co<void> KafkaDirectBroker::CreditFlushLoop(RdmaFileState* fs) {
-  const sim::TimeNs interval = config_.credit_flush_interval_ns > 0
-                                   ? config_.credit_flush_interval_ns
-                                   : 200 * 1000;
-  while (!fs->aborted) {
-    co_await sim::Delay(sim_, interval);
-    if (fs->aborted) co_return;
-    if (fs->pacer.pending_grants > 0 ||
-        fs->ps->log.log_end_offset() != fs->pacer.last_leo_sent) {
-      FlushPacedCredits(fs);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1555,9 +1416,6 @@ sim::Co<void> KafkaDirectBroker::HandleRingConsumeAccess(Request req) {
 
 sim::Co<void> KafkaDirectBroker::RingPushLoop(RingConsumeGrant* g) {
   PartitionState* ps = g->ps;
-  const uint64_t tail_every = config_.ring_tail_interval_bytes > 0
-                                  ? config_.ring_tail_interval_bytes
-                                  : 16 * 1024;
   uint64_t since_tail = 0;
   while (!g->closed) {
     auto qp_it = rdma_qps_.find(g->qp_num);
@@ -1597,7 +1455,7 @@ sim::Co<void> KafkaDirectBroker::RingPushLoop(RingConsumeGrant* g) {
       flight_->Record(flight_shard_, sim_.Now(),
                       obs::FlightEventType::kRingPush, g->grant_ref,
                       static_cast<uint32_t>(chunk), g->pushed);
-      if (since_tail >= tail_every) {
+      if (since_tail >= kRingTailIntervalBytes) {
         PublishRingTail(g, qp.get());
         since_tail = 0;
       }
@@ -1814,7 +1672,7 @@ void KafkaDirectBroker::HandleMuxOpen(const CtrlMsg& msg, uint32_t qp_num) {
     // without a pacing hint.
     grant.error = static_cast<uint16_t>(ErrorCode::kResourceExhausted);
     grant.value = config_.admission_control
-                      ? static_cast<int64_t>(config_.admission_retry_after_ns)
+                      ? static_cast<int64_t>(kAdmissionRetryAfterNs)
                       : 0;
   }
   SendCtrl(qp_num, grant);

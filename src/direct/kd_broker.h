@@ -18,7 +18,6 @@
 
 #include <map>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "direct/control.h"
@@ -66,20 +65,6 @@ struct RdmaFileState {
   bool hole_watch_armed = false;
   /// Pulsed whenever next_expected_order advances (or the file aborts).
   std::unique_ptr<sim::Event> commit_event;
-
-  /// Receiver-paced replication credits (follower side, DESIGN.md §12):
-  /// instead of 1-credit-per-commit, grants are sized from the observed
-  /// drain rate and batched, with total credits in flight capped below the
-  /// posted-receive pool so a fast leader can never RNR a slow follower.
-  struct CreditPacer {
-    uint32_t qp_num = 0;              // leader QP (learned at first commit)
-    uint32_t credits_outstanding = 0; // granted minus drained
-    uint32_t pending_grants = 0;      // drained commits not yet re-granted
-    double ewma_commit_interval_ns = 0;
-    sim::TimeNs last_commit_ns = 0;
-    int64_t last_leo_sent = -1;
-  };
-  CreditPacer pacer;
 };
 
 /// One committed range of the leader's head file awaiting replication.
@@ -197,6 +182,9 @@ struct KdPartitionExt : public kafka::PartitionExt {
   std::vector<std::unique_ptr<PushSession>> push_sessions;
   std::vector<ConsumeGrant*> consume_grants;  // all grants on this TP
   std::map<std::string, std::unique_ptr<CommitSlot>> commit_slots;
+  /// Follower side: replication credits granted to the leader's push
+  /// session and not yet consumed by a committed write.
+  uint32_t repl_credits_outstanding = 0;
 };
 
 class KafkaDirectBroker : public kafka::Broker {
@@ -283,9 +271,6 @@ class KafkaDirectBroker : public kafka::Broker {
   sim::Co<void> WatchQpFailure(std::shared_ptr<rdma::QueuePair> qp);
   void PostCtrlRecvs(const std::shared_ptr<rdma::QueuePair>& qp, int n);
   void SendCtrl(uint32_t qp_num, const CtrlMsg& msg);
-  /// Fans `msgs` out to one QP as a single-doorbell postlist (chunked to
-  /// the send-queue capacity).
-  void SendCtrlBatch(uint32_t qp_num, std::span<const CtrlMsg> msgs);
   /// Dispatches one CQE from the shared broker CQ (synchronous — the
   /// poller drains whole batches between wakeups).
   void HandleRdmaCompletion(const rdma::WorkCompletion& wc);
@@ -347,18 +332,6 @@ class KafkaDirectBroker : public kafka::Broker {
   // --- push replication (follower side) ---
   sim::Co<void> HandleReplicaAccess(Request req);
   void GrantCredit(uint32_t qp_num, kafka::PartitionState* ps);
-  /// Receiver-paced flow control (DESIGN.md §12): per-commit pacer update.
-  /// Sizes the credit window from the observed drain rate and batches
-  /// grants instead of echoing one credit per commit.
-  void PacedCreditOnCommit(RdmaFileState* fs, uint32_t qp_num);
-  /// Sends any pending batched grant / LEO update for a paced replica file.
-  void FlushPacedCredits(RdmaFileState* fs);
-  /// Periodic flush so batched grants cannot stall LEO/HWM propagation.
-  sim::Co<void> CreditFlushLoop(RdmaFileState* fs);
-  uint32_t PacedTargetWindow(const RdmaFileState* fs) const;
-  /// Hard cap on credits in flight: 3/4 of the per-QP ctrl receive pool,
-  /// so a paced leader can never exhaust the follower's posted receives.
-  uint32_t PacedCreditCap() const;
 
   // --- consume module ---
   sim::Co<void> HandleConsumeAccess(Request req);
@@ -410,9 +383,9 @@ class KafkaDirectBroker : public kafka::Broker {
     obs::Gauge* produce_file_pos = nullptr;
     /// §12 ring-consume protocol: bytes pushed into consumer rings.
     obs::Counter* ring_pushed_bytes = nullptr;
-    /// §12 receiver-paced credits, watched live by the monitor's
+    /// Replication credits, watched live by the monitor's
     /// direct.credit_window invariant: the outstanding window (most recent
-    /// pacer to move) must stay within [0, credit_cap].
+    /// session to move) must stay within [0, credit_cap].
     obs::Gauge* credits_outstanding = nullptr;
     obs::Gauge* credit_cap = nullptr;
   };

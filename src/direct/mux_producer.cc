@@ -17,6 +17,10 @@ constexpr int kAckRecvDepth = 512;
 // endpoint was evicted again mid-reconnect); the reconnect pass retries.
 constexpr sim::TimeNs kGrantTimeout = 20ll * 1000 * 1000;  // 20 ms
 constexpr int kMaxReconnectAttempts = 10;
+// Lazy-reconnect backoff step when the broker gave no retry-after hint.
+constexpr sim::TimeNs kReconnectBackoffNs = 100 * 1000;
+// Signal every Nth notify Send (clamped to max_send_wr/4 at connect).
+constexpr int kSignalInterval = 16;
 }  // namespace
 
 MuxProducer::MuxProducer(sim::Simulator& sim, net::Fabric& fabric,
@@ -72,11 +76,9 @@ sim::Co<Status> MuxProducer::EstablishTransport() {
   send_cq_ = rnic_.CreateCq();
   recv_cq_ = rnic_.CreateCq();
   qp_ = rnic_.CreateQp(send_cq_, recv_cq_);
-  if (config_.signal_interval > 1) {
-    int cap = std::max(1, fabric_.cost().rdma.max_send_wr / 4);
-    signal_every_ = std::min(config_.signal_interval, cap);
-    qp_->set_selective_signaling(true);
-  }
+  signal_every_ = std::min(kSignalInterval,
+                           std::max(1, fabric_.cost().rdma.max_send_wr / 4));
+  qp_->set_selective_signaling(true);
   auto broker_qp = co_await leader_->AcceptRdma(qp_);
   if (!broker_qp.ok()) co_return broker_qp.status();
   broker_qp_num_ = broker_qp.value()->qp_num();
@@ -490,7 +492,7 @@ sim::Co<Status> MuxProducer::Reconnect() {
   // connection cache again) — detected by the failure epoch moving under
   // us between awaits.
   for (int attempt = 0; attempt < kMaxReconnectAttempts; attempt++) {
-    co_await sim::Delay(sim_, config_.reconnect_backoff_ns * (attempt + 1));
+    co_await sim::Delay(sim_, kReconnectBackoffNs * (attempt + 1));
     if (closed_ || !*alive_) {
       reconnect_mu_->Unlock();
       co_return Status::Disconnected("endpoint closed");

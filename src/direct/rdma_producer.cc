@@ -55,14 +55,6 @@ sim::Co<Status> RdmaProducer::ConnectImpl(KafkaDirectBroker* leader,
   send_cq_ = rnic_.CreateCq();
   recv_cq_ = rnic_.CreateCq();
   qp_ = rnic_.CreateQp(send_cq_, recv_cq_);
-  if (config_.signal_interval > 1) {
-    // Selective signaling: unsignaled SQ slots are reclaimed lazily, so
-    // the interval must guarantee a signaled WR inside a full SQ. Write+
-    // Send posts two WRs per produce, hence the /4 clamp.
-    int cap = std::max(1, fabric_.cost().rdma.max_send_wr / 4);
-    signal_every_ = std::min(config_.signal_interval, cap);
-    qp_->set_selective_signaling(true);
-  }
   auto broker_qp = co_await leader->AcceptRdma(qp_);
   if (!broker_qp.ok()) co_return broker_qp.status();
   broker_qp_num_ = broker_qp.value()->qp_num();
@@ -255,21 +247,9 @@ sim::Co<void> RdmaProducer::SenderStage(sim::Simulator& sim,
   wr.length = static_cast<uint32_t>(pending->batch.size());
   wr.remote_addr = self->file_addr_ + pos;
   wr.rkey = self->file_rkey_;
-  // Shared notification policy (control.h): the legacy boolean forces
-  // Write+Send; otherwise the configured mode (static or size-adaptive)
-  // decides per message. Selective signaling thins the signal to every
-  // `signal_every_`th notification WR — acks arrive via the broker's
-  // ctrl Sends, so the producer never depends on its own data CQEs.
-  NotifyMode mode = self->config_.write_send_notification
-                        ? NotifyMode::kWriteSend
-                        : self->config_.notify_mode;
-  NotifyPlan plan = PlanNotification(mode, pending->batch.size(),
-                                     self->config_.notify_crossover_bytes);
-  bool signal_this =
-      self->signal_every_ <= 1 ||
-      (++self->notify_seq_ % static_cast<uint64_t>(self->signal_every_)) == 0;
+  const bool separate_send = self->config_.write_send_notification;
   rdma::WorkRequest notify_wr;
-  if (plan.separate_send) {
+  if (separate_send) {
     // Write+Send: the data write carries no notification; a small Send
     // with the metadata follows, ordered behind the write by RC delivery.
     wr.opcode = rdma::Opcode::kWrite;
@@ -283,13 +263,11 @@ sim::Co<void> RdmaProducer::SenderStage(sim::Simulator& sim,
     msg.EncodeTo(pending->notify.data());
     notify_wr.wr_id = self->next_wr_id_++;
     notify_wr.opcode = rdma::Opcode::kSend;
-    notify_wr.signaled = signal_this;
     notify_wr.local_addr = pending->notify.data();
     notify_wr.length = kCtrlMsgSize;
     self->notify_send_->Increment();
   } else {
     wr.opcode = rdma::Opcode::kWriteWithImm;
-    wr.signaled = signal_this;
     wr.imm_data = EncodeImm(order, self->file_id_);
     self->notify_imm_->Increment();
   }
@@ -302,7 +280,7 @@ sim::Co<void> RdmaProducer::SenderStage(sim::Simulator& sim,
     if (!*alive) co_return;
     st = self->qp_->PostSend(wr);
   }
-  if (st.ok() && plan.separate_send) {
+  if (st.ok() && separate_send) {
     st = self->qp_->PostSend(notify_wr);
     while (st.IsResourceExhausted()) {
       co_await sim::Delay(sim, 1000);

@@ -37,19 +37,6 @@ struct RdmaProducerConfig {
   /// 1 (default) polls one CQE per wakeup and is schedule-identical to the
   /// pre-batching behaviour; >1 amortizes the wakeup over a batch.
   int poll_batch = 1;
-  /// --- Datapath-protocol upgrades (DESIGN.md §12). Default off / 1:
-  /// schedule- and byte-identical to the paper figures. ---
-  /// Selective signaling: only every Nth produce notification WR is posted
-  /// signaled; the QP reclaims unsignaled SQ slots lazily on the next CQE
-  /// (FAA claims stay signaled — their result is awaited). Clamped to
-  /// max_send_wr/4 so a signaled WR always exists within a full SQ.
-  int signal_interval = 1;
-  /// Notification policy (control.h PlanNotification). kWriteImm is the
-  /// paper's default; kAdaptive picks WriteWithImm below
-  /// `notify_crossover_bytes` and Write+Send at or above it. The legacy
-  /// `write_send_notification` flag forces kWriteSend when set.
-  NotifyMode notify_mode = NotifyMode::kWriteImm;
-  uint32_t notify_crossover_bytes = 4096;
 };
 
 class RdmaProducer {
@@ -173,8 +160,6 @@ class RdmaProducer {
   uint32_t broker_qp_num_ = 0;
   /// Selective signaling: effective interval (config clamped at Connect)
   /// and the running count of notification WRs used to pick the Nth.
-  int signal_every_ = 1;
-  uint64_t notify_seq_ = 0;
   /// Notification-mix counters (kd.direct.notify.*): how often each
   /// notification shape was chosen, so the adaptive policy is observable.
   obs::Counter* notify_imm_ = nullptr;

@@ -145,12 +145,6 @@ struct ProduceOptions {
   int max_inflight = 1;       // 1 = latency mode (sync round trips)
   int16_t acks = -1;
   int replication_factor = 1;
-  /// Datapath-protocol knobs for the RDMA producers (DESIGN.md §12);
-  /// defaults reproduce the paper's schedule exactly. Ignored by the
-  /// TCP/OSU systems.
-  int signal_interval = 1;
-  kd::NotifyMode notify_mode = kd::NotifyMode::kWriteImm;
-  uint32_t notify_crossover_bytes = 4096;
 };
 
 struct WorkloadResult {

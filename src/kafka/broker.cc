@@ -562,7 +562,7 @@ sim::Co<void> Broker::StoreCommittedOffset(PartitionState* ps,
   // Leaders forward the commit to every ISR follower before acking, so the
   // offset survives a leader kill and a rebalanced consumer can resume
   // exactly-once from the surviving replica.
-  if (config_.cp_replicate_commits && ps->is_leader && cp_ != nullptr) {
+  if (ps->is_leader && cp_ != nullptr) {
     std::vector<uint8_t> frame = Encode(creq);
     // Snapshot: ApplyLeaderAndIsr may reassign ps->isr while PeerRpc is
     // suspended, which would invalidate iterators into the live vector.

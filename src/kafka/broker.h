@@ -69,32 +69,14 @@ struct BrokerConfig {
   int srq_depth = 0;
   /// Max completions drained per poller wakeup (1 = per-CQE polling).
   int cq_poll_batch = 1;
-  /// Chain multi-WR control fan-out (ack bursts, replication write +
-  /// HWM update) into single-doorbell postlists.
-  bool rdma_postlist = false;
 
-  // --- Next-generation datapath protocols (DESIGN.md §12). All default
-  // off so the baseline event schedule and golden traces are unchanged. ---
-
-  /// Ring-buffer Write consume: instead of consumers issuing one-sided
-  /// Reads paced by metadata-slot polling, the broker pushes committed
-  /// bytes into a consumer-registered ring MR and publishes a tail pointer
-  /// every `ring_tail_interval_bytes` — notification and reclamation are
-  /// amortized over many records. Requires rdma_consume.
+  /// Ring-buffer Write consume (DESIGN.md §12; default off so the paper
+  /// figures are unchanged): instead of consumers issuing one-sided Reads
+  /// paced by metadata-slot polling, the broker pushes committed bytes
+  /// into a consumer-registered ring MR and publishes a tail pointer every
+  /// 16 KiB, so notification and reclamation are amortized over many
+  /// records. Requires rdma_consume.
   bool rdma_ring_consume = false;
-  /// Publish the ring tail after this many pushed bytes (always published
-  /// when the pusher goes idle so the consumer never waits on a partial
-  /// interval). <= 0 takes 16 KiB.
-  uint64_t ring_tail_interval_bytes = 0;
-
-  /// Receiver-paced replication credits: the follower grants credits from
-  /// its own commit (drain) rate instead of 1-per-write, and caps credits
-  /// in flight below its posted-receive pool — a slow follower throttles
-  /// the leader without RNR storms, and credit messages are batched.
-  bool receiver_paced_credits = false;
-  /// Idle flush interval for batched credit grants (bounds LEO/HWM
-  /// propagation delay when the drain pauses). <= 0 takes 200 us.
-  sim::TimeNs credit_flush_interval_ns = 0;
 
   // Shared RDMA produce: how long request i waits for request i-1 before
   // the broker aborts and revokes access (§4.2.2).
@@ -114,8 +96,6 @@ struct BrokerConfig {
   /// 32-bit stream id in the ctrl header, with per-stream notify credits
   /// layered on the SRQ.
   bool qp_mux = false;
-  /// Notify credits granted per logical stream at open.
-  uint32_t mux_stream_credits = 4;
 
   /// DCT-like connection cache: keep live transport QPs in an LRU, evict
   /// the coldest (Disconnect) when over capacity. Clients reconnect
@@ -137,13 +117,12 @@ struct BrokerConfig {
   bool admission_control = false;
   /// Cap on simultaneously-open logical streams (0 = arena capacity).
   uint32_t admission_max_streams = 0;
-  /// Suggested client backoff carried in the rejection grant.
-  sim::TimeNs admission_retry_after_ns = 1 * 1000 * 1000;  // 1 ms
 
-  /// FAULT INJECTION (monitor/flight-recorder tests only): a paced credit
-  /// flush grants this many credits beyond the pacer's target window,
-  /// deliberately pushing credits_outstanding past the RNR-proof cap so the
-  /// live monitor's direct.credit_window watcher fires mid-run. 0 = off.
+  /// FAULT INJECTION (monitor/flight-recorder tests only): every
+  /// replication credit grant returns this many credits beyond the one
+  /// its commit consumed, deliberately pushing credits_outstanding past the
+  /// RNR-proof cap so the live monitor's direct.credit_window watcher
+  /// fires mid-run. 0 = off.
   uint32_t fault_credit_overgrant = 0;
 
   // --- Cluster control plane (DESIGN.md §15). All default off so the
@@ -171,9 +150,6 @@ struct BrokerConfig {
   /// Join-window quiesce: a rebalance generation forms once no new join
   /// has arrived for this long (storms coalesce into one generation).
   sim::TimeNs cp_rebalance_delay_ns = 1 * 1000 * 1000;  // 1 ms
-  /// Leaders forward TCP offset commits to ISR followers before acking,
-  /// so committed offsets survive a leader kill.
-  bool cp_replicate_commits = true;
 };
 
 /// Broker-side runtime counters, used by benches for CPU-load and

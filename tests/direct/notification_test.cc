@@ -51,6 +51,14 @@ TEST_P(NotificationModeTest, ExclusiveProduceEquivalent) {
     rest.RemovePrefix(view.total_size());
   }
   EXPECT_EQ(expect, 50);
+  // The notify counters follow the switch, and every byte is zero-copy.
+  obs::MetricsRegistry& m = fabric_->obs().metrics;
+  EXPECT_EQ(m.GetCounter("kd.direct.notify.write_send")->value(),
+            write_send ? 50u : 0u);
+  EXPECT_EQ(m.GetCounter("kd.direct.notify.write_imm")->value(),
+            write_send ? 0u : 50u);
+  EXPECT_EQ(m.GetCounter("kd.direct.rdma_produce.zero_copy_bytes")->value(),
+            m.GetCounter("kd.broker.0.produce.bytes")->value());
 }
 
 TEST_P(NotificationModeTest, SharedProduceEquivalent) {

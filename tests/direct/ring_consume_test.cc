@@ -1,6 +1,6 @@
 // Ring-buffer consume protocol (DESIGN.md §12): the broker pushes
 // committed bytes into a consumer-registered ring and publishes a tail
-// pointer every ring_tail_interval_bytes; the consumer drains locally and
+// pointer every 16 KiB; the consumer drains locally and
 // writes its consumed count back one-sidedly. End-to-end: record fidelity,
 // zero RDMA Reads, amortized notifications, and live tailing.
 #include <gtest/gtest.h>
@@ -18,12 +18,11 @@ using kafka::TopicPartitionId;
 
 class RingConsumeTest : public KdClusterTest {
  protected:
-  void BootRing(uint64_t tail_interval_bytes = 0) {
+  void BootRing() {
     kafka::BrokerConfig cfg;
     cfg.rdma_produce = true;
     cfg.rdma_consume = true;
     cfg.rdma_ring_consume = true;
-    cfg.ring_tail_interval_bytes = tail_interval_bytes;
     BootWithConfig(cfg, 1, 1, 1);
   }
 

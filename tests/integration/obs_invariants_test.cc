@@ -3,6 +3,7 @@
 // bytes out, TCP pays copies, RDMA produce does not.
 #include <gtest/gtest.h>
 
+#include "direct/mux_producer.h"
 #include "harness/harness.h"
 
 namespace kafkadirect {
@@ -150,26 +151,56 @@ TEST(ObsInvariantsTest, AckedProduceImpliesHwmAtLogEnd) {
   EXPECT_GT(wait->count(), 0u);
 }
 
-// --- Datapath-protocol upgrades (DESIGN.md §12): the byte-conservation
-// invariants must hold under every protocol combination, and the new
-// signaling/notification counters must agree with the knob settings. ---
+// --- Datapath protocols (DESIGN.md §12): the byte-conservation invariants
+// must hold under each protocol, and the signaling counters must agree
+// with what the producer posted. ---
 
 struct SignalingCounters {
   uint64_t posted, signaled, cqes, produced, zero_copy, copied;
 };
 
-SignalingCounters RunSignaling(int signal_interval) {
+constexpr int kSignalingRecords = 160;
+
+// The same records over the same Write+Send wire protocol, from either a
+// dedicated RdmaProducer (every notify Send signaled) or a one-stream
+// MuxProducer (selective signaling: one notify Send in 16).
+SignalingCounters RunWriteSend(bool mux) {
   DeploymentConfig deploy;
   deploy.broker.rdma_produce = true;
+  deploy.broker.qp_mux = true;
   TestCluster cluster(deploy);
-  ProduceOptions options;
-  options.records_per_producer = 200;
-  options.record_size = 512;
-  options.max_inflight = 8;
-  options.signal_interval = signal_interval;
-  auto result =
-      RunProduceWorkload(cluster, SystemKind::kKdExclusive, options);
-  KD_CHECK(result.records == 200 && result.errors == 0);
+  const kafka::TopicPartitionId tp{"signaling", 0};
+  KD_CHECK_OK(cluster.CreateTopic(tp.topic, 1, 1));
+  const net::NodeId node = cluster.AddClientNode("producer");
+  bool done = false;
+  auto run = [](TestCluster* c, kafka::TopicPartitionId tp, net::NodeId node,
+                bool mux, bool* done) -> sim::Co<void> {
+    const std::string value(512, 's');
+    if (mux) {
+      kd::MuxProducer p(c->sim(), c->fabric(), c->tcp(), node,
+                        kd::MuxProducerConfig{});
+      KD_CHECK_OK(co_await p.Connect(c->Leader(tp), tp));
+      KD_CHECK((co_await p.OpenStreams(1, 1)).ok());
+      for (int i = 0; i < kSignalingRecords; i++) {
+        KD_CHECK((co_await p.Produce(1, Slice("k", 1), Slice(value))).ok());
+      }
+      KD_CHECK_OK(co_await p.Flush());
+      p.Close();
+    } else {
+      kd::RdmaProducer p(c->sim(), c->fabric(), c->tcp(), node,
+                         kd::RdmaProducerConfig{
+                             .write_send_notification = true});
+      KD_CHECK_OK(co_await p.Connect(c->Leader(tp), tp));
+      for (int i = 0; i < kSignalingRecords; i++) {
+        KD_CHECK((co_await p.Produce(Slice("k", 1), Slice(value))).ok());
+      }
+      p.Close();
+    }
+    *done = true;
+  };
+  sim::Spawn(cluster.sim(), run(&cluster, tp, node, mux, &done));
+  cluster.sim().RunUntilDone([&]() { return done; }, Seconds(60));
+  KD_CHECK(done);
   return SignalingCounters{
       CounterValue(cluster, "kd.rdma.wrs_posted"),
       CounterValue(cluster, "kd.rdma.wrs_signaled"),
@@ -180,64 +211,76 @@ SignalingCounters RunSignaling(int signal_interval) {
 }
 
 TEST(ObsInvariantsTest, SelectiveSignalingCutsCqesNotBytes) {
-  SignalingCounters every = RunSignaling(1);
-  SignalingCounters eighth = RunSignaling(8);
+  SignalingCounters every = RunWriteSend(/*mux=*/false);
+  SignalingCounters mux = RunWriteSend(/*mux=*/true);
 
-  // Identical workload, identical datapath: the same WRs are posted and
-  // the same bytes land zero-copy — only the CQE stream thins out.
-  EXPECT_EQ(every.posted, eighth.posted);
-  EXPECT_EQ(every.produced, eighth.produced);
-  EXPECT_EQ(every.zero_copy, eighth.zero_copy);
-  EXPECT_EQ(eighth.zero_copy, eighth.produced);
-  EXPECT_EQ(eighth.copied, 0u);
+  // Same records, same wire protocol: the same bytes land zero-copy —
+  // only the CQE stream thins out.
+  EXPECT_EQ(every.produced, mux.produced);
+  EXPECT_EQ(every.zero_copy, mux.zero_copy);
+  EXPECT_EQ(mux.zero_copy, mux.produced);
+  EXPECT_EQ(mux.copied, 0u);
 
   // Signaled WRs (and with them CQEs) drop by roughly the interval; the
   // broker's notification receives still complete, so compare deltas.
-  EXPECT_LE(eighth.signaled, eighth.posted);
-  EXPECT_LT(eighth.signaled * 4, every.signaled);
-  EXPECT_LT(eighth.cqes, every.cqes);
-  EXPECT_EQ(every.signaled - eighth.signaled, every.cqes - eighth.cqes);
+  EXPECT_LE(mux.signaled, mux.posted);
+  EXPECT_LT(mux.signaled * 4, every.signaled);
+  EXPECT_LT(mux.cqes, every.cqes);
+  // The stream open adds one Send each way (kMuxOpen, kMuxGrant), and
+  // each one completes a receive.
+  EXPECT_EQ(every.posted + 2, mux.posted);
+  EXPECT_EQ(every.signaled - mux.signaled, every.cqes + 2 - mux.cqes);
 }
 
-uint64_t NotifyCounts(SystemKind kind, kd::NotifyMode mode,
-                      size_t record_size, uint64_t* write_imm,
-                      uint64_t* write_send) {
+constexpr uint64_t kNotifyRecords = 100;
+
+// Produces kNotifyRecords records of `record_size` bytes from one exclusive
+// RdmaProducer; returns {WriteWithImm, Write+Send} notification counts.
+std::pair<uint64_t, uint64_t> NotifyCounts(bool write_send,
+                                           size_t record_size) {
   DeploymentConfig deploy;
   deploy.broker.rdma_produce = true;
   TestCluster cluster(deploy);
-  ProduceOptions options;
-  options.records_per_producer = 100;
-  options.record_size = record_size;
-  options.max_inflight = 4;
-  options.notify_mode = mode;
-  auto result = RunProduceWorkload(cluster, kind, options);
-  KD_CHECK(result.errors == 0);
-  *write_imm = CounterValue(cluster, "kd.direct.notify.write_imm");
-  *write_send = CounterValue(cluster, "kd.direct.notify.write_send");
-  uint64_t produced = CounterValue(cluster, "kd.broker.0.produce.bytes");
-  uint64_t zero_copy =
-      CounterValue(cluster, "kd.direct.rdma_produce.zero_copy_bytes");
-  KD_CHECK(produced == zero_copy);  // conservation holds in every mode
-  return result.records;
+  const kafka::TopicPartitionId tp{"notify", 0};
+  KD_CHECK_OK(cluster.CreateTopic(tp.topic, 1, 1));
+  const net::NodeId node = cluster.AddClientNode("producer");
+  bool done = false;
+  auto run = [](TestCluster* c, kafka::TopicPartitionId tp, net::NodeId node,
+                bool write_send, size_t record_size,
+                bool* done) -> sim::Co<void> {
+    kd::RdmaProducer p(c->sim(), c->fabric(), c->tcp(), node,
+                       kd::RdmaProducerConfig{
+                           .max_inflight = 4,
+                           .write_send_notification = write_send});
+    KD_CHECK_OK(co_await p.Connect(c->Leader(tp), tp));
+    const std::string value(record_size, 'n');
+    for (uint64_t i = 0; i < kNotifyRecords; i++) {
+      KD_CHECK_OK(co_await p.ProduceAsync(Slice("k", 1), Slice(value)));
+    }
+    KD_CHECK_OK(co_await p.Flush());
+    KD_CHECK(p.errors() == 0);
+    p.Close();
+    *done = true;
+  };
+  sim::Spawn(cluster.sim(),
+             run(&cluster, tp, node, write_send, record_size, &done));
+  cluster.sim().RunUntilDone([&]() { return done; }, Seconds(60));
+  KD_CHECK(done);
+  // Conservation holds under either notification method.
+  KD_CHECK(CounterValue(cluster, "kd.broker.0.produce.bytes") ==
+           CounterValue(cluster, "kd.direct.rdma_produce.zero_copy_bytes"));
+  return {CounterValue(cluster, "kd.direct.notify.write_imm"),
+          CounterValue(cluster, "kd.direct.notify.write_send")};
 }
 
 TEST(ObsInvariantsTest, NotificationModeCountersMatchTheKnob) {
-  uint64_t imm = 0, send = 0;
-  // Forced Write+Send: every record notifies via the separate Send.
-  uint64_t n = NotifyCounts(SystemKind::kKdExclusive,
-                            kd::NotifyMode::kWriteSend, 256, &imm, &send);
-  EXPECT_EQ(send, n);
-  EXPECT_EQ(imm, 0u);
-  // Adaptive, small records (wire size < crossover): all WriteWithImm.
-  n = NotifyCounts(SystemKind::kKdExclusive, kd::NotifyMode::kAdaptive, 256,
-                   &imm, &send);
-  EXPECT_EQ(imm, n);
-  EXPECT_EQ(send, 0u);
-  // Adaptive, large records (wire size > crossover): all Write+Send.
-  n = NotifyCounts(SystemKind::kKdExclusive, kd::NotifyMode::kAdaptive,
-                   8192, &imm, &send);
-  EXPECT_EQ(send, n);
-  EXPECT_EQ(imm, 0u);
+  // Every record notifies the way write_send_notification says, whatever
+  // its size: the record size never switches the method.
+  using Counts = std::pair<uint64_t, uint64_t>;
+  EXPECT_EQ(NotifyCounts(true, 256), Counts(0, kNotifyRecords));
+  EXPECT_EQ(NotifyCounts(false, 256), Counts(kNotifyRecords, 0));
+  EXPECT_EQ(NotifyCounts(true, 8192), Counts(0, kNotifyRecords));
+  EXPECT_EQ(NotifyCounts(false, 8192), Counts(kNotifyRecords, 0));
 }
 
 TEST(ObsInvariantsTest, RingConsumeConservesBytesWithZeroReads) {
@@ -263,25 +306,48 @@ TEST(ObsInvariantsTest, RingConsumeConservesBytesWithZeroReads) {
 }
 
 TEST(ObsInvariantsTest, AllProtocolUpgradesComposeCleanly) {
-  // Everything on at once: selective signaling + adaptive notification on
-  // the producer, receiver-paced credits on the replication path.
+  // Ring consume of a log that zero-copy RDMA produce committed and 2-way
+  // push replication (fixed credit window) copied to the follower.
   DeploymentConfig deploy;
   deploy.num_brokers = 2;
   deploy.broker.rdma_produce = true;
   deploy.broker.rdma_replicate = true;
-  deploy.broker.receiver_paced_credits = true;
+  deploy.broker.rdma_consume = true;
+  deploy.broker.rdma_ring_consume = true;
   TestCluster cluster(deploy);
-  ProduceOptions options;
-  options.records_per_producer = 150;
-  options.record_size = 1024;
-  options.max_inflight = 8;
-  options.replication_factor = 2;
-  options.signal_interval = 4;
-  options.notify_mode = kd::NotifyMode::kAdaptive;
-  auto result =
-      RunProduceWorkload(cluster, SystemKind::kKdExclusive, options);
-  ASSERT_EQ(result.records, 150u);
-  ASSERT_EQ(result.errors, 0u);
+  const kafka::TopicPartitionId tp{"composed", 0};
+  KD_CHECK_OK(cluster.CreateTopic(tp.topic, 1, 2));
+  const net::NodeId node = cluster.AddClientNode("client");
+  constexpr uint64_t kRecords = 150;
+  uint64_t consumed = 0;
+  bool done = false;
+  auto run = [](TestCluster* c, kafka::TopicPartitionId tp, net::NodeId node,
+                uint64_t* consumed, bool* done) -> sim::Co<void> {
+    kd::RdmaProducer producer(c->sim(), c->fabric(), c->tcp(), node,
+                              kd::RdmaProducerConfig{.max_inflight = 8});
+    KD_CHECK_OK(co_await producer.Connect(c->Leader(tp), tp));
+    const std::string value(1024, 'c');
+    for (uint64_t i = 0; i < kRecords; i++) {
+      KD_CHECK_OK(co_await producer.ProduceAsync(Slice("k", 1), Slice(value)));
+    }
+    KD_CHECK_OK(co_await producer.Flush());
+    producer.Close();
+    kd::RdmaConsumer consumer(c->sim(), c->fabric(), c->tcp(), node,
+                              kd::RdmaConsumerConfig{.ring_consume = true});
+    KD_CHECK_OK(co_await consumer.Connect(c->Leader(tp)));
+    KD_CHECK_OK(co_await consumer.Subscribe(tp, 0));
+    for (int empty = 0; *consumed < kRecords && empty < 3;) {
+      auto records = co_await consumer.Poll(tp);
+      KD_CHECK(records.ok()) << records.status().ToString();
+      empty = records.value().empty() ? empty + 1 : 0;
+      *consumed += records.value().size();
+    }
+    *done = true;
+  };
+  sim::Spawn(cluster.sim(), run(&cluster, tp, node, &consumed, &done));
+  cluster.sim().RunUntilDone([&]() { return done; }, Seconds(60));
+  ASSERT_TRUE(done);
+  ASSERT_EQ(consumed, kRecords);
 
   uint64_t produced = CounterValue(cluster, "kd.broker.0.produce.bytes") +
                       CounterValue(cluster, "kd.broker.1.produce.bytes");
@@ -291,8 +357,9 @@ TEST(ObsInvariantsTest, AllProtocolUpgradesComposeCleanly) {
   EXPECT_EQ(CounterValue(cluster, "kd.broker.0.produce.copied_bytes") +
                 CounterValue(cluster, "kd.broker.1.produce.copied_bytes"),
             0u);
-  EXPECT_LT(CounterValue(cluster, "kd.rdma.wrs_signaled"),
-            CounterValue(cluster, "kd.rdma.wrs_posted"));
+  // The consumer drained the replicated log through the ring alone.
+  EXPECT_EQ(CounterValue(cluster, "kd.direct.ring.pushed_bytes"), produced);
+  EXPECT_EQ(CounterValue(cluster, "kd.rdma.ops.read"), 0u);
   EXPECT_EQ(CounterValue(cluster, "kd.rdma.rnr_events"), 0u);
 }
 

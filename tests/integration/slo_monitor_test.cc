@@ -115,9 +115,8 @@ DeploymentConfig FaultyDeploy() {
   deploy.num_brokers = 2;
   deploy.broker.rdma_produce = true;
   deploy.broker.rdma_replicate = true;
-  deploy.broker.receiver_paced_credits = true;
-  // The seeded fault: the leader tops replication credits up PAST the
-  // receiver-paced cap, which must trip direct.credit_window mid-run.
+  // The seeded fault: the follower tops the leader's replication credits
+  // up PAST the window cap, which must trip direct.credit_window mid-run.
   deploy.broker.fault_credit_overgrant = 8;
   return deploy;
 }
@@ -242,7 +241,7 @@ TEST(FlightRecorderIntegrationTest, DatapathEventsAreCaptured) {
   std::map<obs::FlightEventType, uint64_t> by_type;
   for (const obs::FlightEvent& e : flight.MergedSnapshot()) by_type[e.type]++;
   // A replicated RDMA produce run exercises verbs, commits, HWM advances,
-  // and (receiver-paced) credit grants.
+  // and credit grants.
   EXPECT_GT(by_type[obs::FlightEventType::kVerbPosted], 0u);
   EXPECT_GT(by_type[obs::FlightEventType::kCommit], 0u);
   EXPECT_GT(by_type[obs::FlightEventType::kHwmAdvance], 0u);

@@ -1,8 +1,8 @@
-"""Shared machinery for the deterministic-bench JSON gates.
+#!/usr/bin/env python3
+"""Gate a deterministic bench JSON report against its committed baseline.
 
-tools/compare_client_scaling.py and tools/compare_failover.py both gate a
-virtual-time-deterministic bench report against a committed baseline with
-the same semantics (established by tools/compare_datapath.py):
+The virtual-time-deterministic benches (abl_datapath_protocols,
+tbl_client_scaling, tbl_failover) are gated with the same semantics:
 
   - numeric metrics must match within a relative tolerance, either
     direction;
@@ -14,11 +14,17 @@ the same semantics (established by tools/compare_datapath.py):
   - host-speed-dependent metrics (keys starting with "host_") are excluded
     from gating.
 
-This module holds that machinery once; the per-bench scripts add their own
-invariant checks (memory constancy, exactly-once delivery) on top.
+Run as a script for a bench with no further invariants; a per-bench
+script passes its invariant check (memory constancy, exactly-once
+delivery) to main().
+
+Usage: tools/bench_compare.py BASELINE CURRENT [--tolerance 0.10]
 """
 
+import argparse
 import json
+import os
+import sys
 
 
 def load(path):
@@ -70,3 +76,48 @@ def diff(base, cur, tolerance, baseline_name):
             if not ok:
                 failures.append(f"{name}/{key}: {bval} -> {cval}")
     return failures, missing, unexpected
+
+
+def main(invariants=None, description=__doc__):
+    """Runs one gate from the command line; returns the exit status.
+
+    `invariants(rows)` returns the failures of the bench's own claims,
+    checked on the CURRENT report so a baseline refresh cannot launder
+    them away.
+    """
+    parser = argparse.ArgumentParser(
+        description=description,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("baseline")
+    parser.add_argument("current")
+    parser.add_argument("--tolerance", type=float, default=0.10,
+                        help="max relative deviation per metric "
+                             "(default 0.10)")
+    args = parser.parse_args()
+    baseline_name = os.path.basename(args.baseline)
+
+    cur = load(args.current)
+    failures, missing, unexpected = diff(
+        load(args.baseline), cur, args.tolerance, baseline_name)
+    if invariants is not None:
+        failures.extend(invariants(cur))
+
+    if missing:
+        print(f"error: benchmarks missing from current report: "
+              f"{', '.join(missing)}", file=sys.stderr)
+        return 1
+    if unexpected:
+        print(f"error: benchmarks not in baseline (refresh it): "
+              f"{', '.join(unexpected)}", file=sys.stderr)
+        return 1
+    if failures:
+        for f in failures:
+            print(f"error: {f}", file=sys.stderr)
+        return 1
+    print(f"{baseline_name}: all metrics within {args.tolerance:.0%} of "
+          f"baseline" + ("; invariants passed" if invariants else ""))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

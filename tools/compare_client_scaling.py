@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Compare a tbl_client_scaling JSON report against the baseline.
 
-Semantics follow tools/compare_datapath.py via the shared
-tools/bench_compare.py machinery: the bench is deterministic in virtual
-time, so sim-derived metrics must match the committed baseline within
+Semantics are those of tools/bench_compare.py: the bench is deterministic
+in virtual time, so sim-derived metrics must match the committed baseline within
 --tolerance (default 10%, relative, either direction). Zero-valued
 baselines (e.g. `rejected`) are invariants — any nonzero current value
 fails regardless of tolerance. Key-set drift fails in BOTH directions: a
@@ -24,7 +23,6 @@ launder them away):
 Usage: tools/compare_client_scaling.py BASELINE CURRENT [--tolerance 0.10]
 """
 
-import argparse
 import sys
 
 import bench_compare
@@ -54,38 +52,5 @@ def constancy_failures(rows):
     return failures
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline")
-    parser.add_argument("current")
-    parser.add_argument("--tolerance", type=float, default=0.10,
-                        help="max relative deviation per metric "
-                             "(default 0.10)")
-    args = parser.parse_args()
-
-    base = bench_compare.load(args.baseline)
-    cur = bench_compare.load(args.current)
-
-    failures, missing, unexpected = bench_compare.diff(
-        base, cur, args.tolerance, "BENCH_client_scaling.baseline.json")
-    failures.extend(constancy_failures(cur))
-
-    if missing:
-        print(f"error: benchmarks missing from current report: "
-              f"{', '.join(missing)}", file=sys.stderr)
-        return 1
-    if unexpected:
-        print(f"error: benchmarks not in baseline (refresh it): "
-              f"{', '.join(unexpected)}", file=sys.stderr)
-        return 1
-    if failures:
-        for f in failures:
-            print(f"error: {f}", file=sys.stderr)
-        return 1
-    print(f"client_scaling: all metrics within {args.tolerance:.0%} of "
-          f"baseline; memory-constancy checks passed")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_compare.main(constancy_failures, __doc__))

@@ -23,7 +23,6 @@ away):
 Usage: tools/compare_failover.py BASELINE CURRENT [--tolerance 0.10]
 """
 
-import argparse
 import sys
 
 import bench_compare
@@ -56,38 +55,5 @@ def invariant_failures(rows):
     return failures
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline")
-    parser.add_argument("current")
-    parser.add_argument("--tolerance", type=float, default=0.10,
-                        help="max relative deviation per metric "
-                             "(default 0.10)")
-    args = parser.parse_args()
-
-    base = bench_compare.load(args.baseline)
-    cur = bench_compare.load(args.current)
-
-    failures, missing, unexpected = bench_compare.diff(
-        base, cur, args.tolerance, "BENCH_failover.baseline.json")
-    failures.extend(invariant_failures(cur))
-
-    if missing:
-        print(f"error: benchmarks missing from current report: "
-              f"{', '.join(missing)}", file=sys.stderr)
-        return 1
-    if unexpected:
-        print(f"error: benchmarks not in baseline (refresh it): "
-              f"{', '.join(unexpected)}", file=sys.stderr)
-        return 1
-    if failures:
-        for f in failures:
-            print(f"error: {f}", file=sys.stderr)
-        return 1
-    print(f"failover: all metrics within {args.tolerance:.0%} of baseline; "
-          f"exactly-once invariants passed")
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_compare.main(invariant_failures, __doc__))

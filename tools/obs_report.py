@@ -7,7 +7,7 @@ BENCH_slo.baseline.json) and reports per-instrument deltas rolled up by
 subsystem — kafka (kd.broker.*, kd.tcp.*), direct (kd.direct.*), rdma
 (kd.rdma.*), sim (kd.sim.*), other.
 
-Gate semantics match tools/compare_datapath.py:
+Gate semantics match tools/bench_compare.py:
   - --tolerance (default 0.10) bounds the relative deviation, either
     direction, of every counter and gauge value.
   - Zero-valued baselines are invariants: any nonzero current value fails

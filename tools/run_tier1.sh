@@ -8,7 +8,7 @@
 #      (tools/compare_simcore.py).
 #   3b. Datapath-protocol gate: bench/abl_datapath_protocols (deterministic
 #      virtual-time metrics) vs BENCH_datapath_protocols.baseline.json —
-#      fails on a >10% deviation (tools/compare_datapath.py).
+#      fails on a >10% deviation or key-set drift (tools/bench_compare.py).
 #   3b'. Client-scaling gate: bench/tbl_client_scaling (16 K -> 1 M logical
 #      clients over multiplexed QPs, §14) vs
 #      BENCH_client_scaling.baseline.json — fails on deviation, key-set
@@ -52,7 +52,7 @@ if [[ "$FAST" == 0 ]]; then
     --max-regress 0.10
   "$BUILD_DIR/bench/abl_datapath_protocols" \
     --json="$ROOT/BENCH_datapath_protocols.json" >/dev/null
-  python3 "$ROOT/tools/compare_datapath.py" \
+  python3 "$ROOT/tools/bench_compare.py" \
     "$ROOT/BENCH_datapath_protocols.baseline.json" \
     "$ROOT/BENCH_datapath_protocols.json" --tolerance 0.10
   "$BUILD_DIR/bench/tbl_client_scaling" \
