@@ -146,7 +146,7 @@ class BinaryReader {
 
   /// Length-prefixed byte string; returns a view into the underlying data.
   Status GetBytes(Slice* out) {
-    uint32_t len;
+    uint32_t len = 0;
     KD_RETURN_IF_ERROR(GetU32(&len));
     KD_RETURN_IF_ERROR(Need(len));
     *out = data_.SubSlice(pos_, len);

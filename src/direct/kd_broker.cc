@@ -130,7 +130,7 @@ Status KafkaDirectBroker::Start() {
   if (config_.use_srq) {
     // One shared receive pool for every ctrl-message QP: broker recv
     // memory is sized once here, independent of how many clients connect.
-    srq_ = rnic_.CreateSrq(config_.srq_depth);
+    srq_ = rnic_.CreateSrq();
     srq_arena_.resize(static_cast<size_t>(srq_->max_wr()) * kCtrlMsgSize);
     for (int i = 0; i < srq_->max_wr(); i++) {
       KD_CHECK_OK(srq_->PostRecv(
@@ -815,9 +815,12 @@ sim::Co<void> KafkaDirectBroker::CommitRdmaWrite(RdmaFileState* fs,
       ps->leo_advanced.Pulse();
       AdvanceHwm(ps);
       // Backpressure: never let the push-replication queues grow without
-      // bound when producers outpace the replication worker.
-      for (auto& session : Ext(*ps)->push_sessions) {
-        while (session->queue->size() > 64) {
+      // bound when producers outpace the replication worker. Indexed, not
+      // range-for: a session added during the Delay may reallocate the
+      // vector.
+      auto& sessions = Ext(*ps)->push_sessions;
+      for (size_t i = 0; i < sessions.size(); i++) {
+        while (sessions[i]->queue->size() > 64) {
           co_await sim::Delay(sim_, 1000);
         }
       }
@@ -1306,8 +1309,11 @@ sim::Co<void> KafkaDirectBroker::HandleConsumeAccess(Request req) {
     ConsumerSession* session = SessionFor(req.conn);
     int32_t slot = session->AllocSlot();
     if (slot < 0) {
-      resp.error = ErrorCode::kRdmaAccessDenied;  // out of slots
-      SendResponse(req.conn, Encode(resp));
+      // Out of slots: drop the registration, and refuse without the
+      // address and rkey it would have exposed.
+      (void)rnic_.DeregisterMemory(grant->mr);
+      SendResponse(req.conn, Encode(kafka::RdmaConsumeAccessResponse{
+                                 ErrorCode::kRdmaAccessDenied}));
       co_return;
     }
     grant->session = session;

@@ -21,6 +21,8 @@ constexpr int kMaxReconnectAttempts = 10;
 constexpr sim::TimeNs kReconnectBackoffNs = 100 * 1000;
 // Signal every Nth notify Send (clamped to max_send_wr/4 at connect).
 constexpr int kSignalInterval = 16;
+// Max completions drained per CQ wakeup.
+constexpr size_t kPollBatch = 4;
 }  // namespace
 
 MuxProducer::MuxProducer(sim::Simulator& sim, net::Fabric& fabric,
@@ -236,7 +238,7 @@ sim::Co<Status> MuxProducer::CloseStreams(uint32_t base, uint32_t count) {
   co_return Status::OK();  // close is best-effort; the broker idles it out
 }
 
-sim::Co<Status> MuxProducer::PostRecord(StreamState* st,
+sim::Co<Status> MuxProducer::PostRecord(uint32_t stream,
                                         std::shared_ptr<Pending> p) {
   co_await post_mu_->Lock();
   if (!*alive_ || closed_) {
@@ -251,7 +253,14 @@ sim::Co<Status> MuxProducer::PostRecord(StreamState* st,
     post_mu_->Unlock();
     co_return Status::OK();
   }
-  auto git = grants_.find(st->tp);
+  // Resolved after the lock: the stream may have closed while we waited.
+  auto sit = streams_.find(stream);
+  if (sit == streams_.end()) {
+    post_mu_->Unlock();
+    co_return Status::InvalidArgument("stream closed");
+  }
+  const kafka::TopicPartitionId tp = sit->second.tp;
+  auto git = grants_.find(tp);
   if (git == grants_.end()) {
     post_mu_->Unlock();
     co_return Status::FailedPrecondition("no grant for stream partition");
@@ -259,13 +268,13 @@ sim::Co<Status> MuxProducer::PostRecord(StreamState* st,
   if (p->batch.size() > git->second.capacity - git->second.write_pos) {
     // Head file full: rotate via the control channel (§4.2.2); in-flight
     // pipelined writes end at the grant's write_pos.
-    Status rot = co_await RequestAccess(st->tp, git->second.file_id,
+    Status rot = co_await RequestAccess(tp, git->second.file_id,
                                         git->second.write_pos);
     if (!rot.ok()) {
       post_mu_->Unlock();
       co_return rot;
     }
-    git = grants_.find(st->tp);
+    git = grants_.find(tp);
     if (git == grants_.end()) {
       post_mu_->Unlock();
       co_return Status::FailedPrecondition("grant lost during rotation");
@@ -289,7 +298,7 @@ sim::Co<Status> MuxProducer::PostRecord(StreamState* st,
   msg.kind = CtrlKind::kProduceNotify;
   msg.aux = grant.file_id;
   msg.value = static_cast<int64_t>(p->batch.size());
-  msg.stream = st->id;
+  msg.stream = stream;
   p->notify.resize(kCtrlMsgSize);
   msg.EncodeTo(p->notify.data());
   rdma::WorkRequest notify_wr;
@@ -358,9 +367,8 @@ sim::Co<StatusOr<int64_t>> MuxProducer::Produce(uint32_t stream, Slice key,
     window_.Release();
     co_return Status::InvalidArgument("stream closed");
   }
-  st = &it->second;
-  st->pending.push_back(pending);
-  Status posted = co_await PostRecord(st, pending);
+  it->second.pending.push_back(pending);
+  Status posted = co_await PostRecord(stream, pending);
   if (!posted.ok()) {
     // Hard failure (closed / rotation denied): unwind this record.
     it = streams_.find(stream);
@@ -404,10 +412,9 @@ void MuxProducer::HandleAck(const CtrlMsg& msg) {
 
 sim::Co<void> MuxProducer::RecvAckLoop(
     std::shared_ptr<bool> alive, std::shared_ptr<rdma::CompletionQueue> cq) {
-  const size_t batch = static_cast<size_t>(std::max(1, config_.poll_batch));
-  std::vector<rdma::WorkCompletion> wcs(batch);
+  std::vector<rdma::WorkCompletion> wcs(kPollBatch);
   while (*alive) {
-    size_t n = co_await cq->NextBatch(wcs.data(), batch);
+    size_t n = co_await cq->NextBatch(wcs.data(), kPollBatch);
     if (!*alive || n == 0) co_return;  // CQ shut down (Close/reconnect)
     for (size_t i = 0; i < n; i++) {
       const rdma::WorkCompletion& wc = wcs[i];
@@ -439,10 +446,9 @@ sim::Co<void> MuxProducer::RecvAckLoop(
 
 sim::Co<void> MuxProducer::SendCqDrainer(
     std::shared_ptr<bool> alive, std::shared_ptr<rdma::CompletionQueue> cq) {
-  const size_t batch = static_cast<size_t>(std::max(1, config_.poll_batch));
-  std::vector<rdma::WorkCompletion> wcs(batch);
+  std::vector<rdma::WorkCompletion> wcs(kPollBatch);
   while (*alive) {
-    size_t n = co_await cq->NextBatch(wcs.data(), batch);
+    size_t n = co_await cq->NextBatch(wcs.data(), kPollBatch);
     if (!*alive || n == 0) co_return;
     for (size_t i = 0; i < n; i++) {
       if (!wcs[i].ok() && cq == send_cq_) OnTransportFailure();
@@ -521,15 +527,24 @@ sim::Co<Status> MuxProducer::Reconnect() {
       // Re-open every stream one at a time: each grant replays the
       // broker's committed count — the exactly-once resync anchor.
       // Records at or below it were committed before the transport died
-      // (their acks were lost); resolve them without re-sending.
+      // (their acks were lost); resolve them without re-sending. Ids are
+      // snapshotted and re-resolved after each await: CloseStreams erases
+      // streams while SendOpen and PostRecord are suspended.
+      std::vector<uint32_t> ids;
+      ids.reserve(streams_.size());
+      for (const auto& [id, stream] : streams_) ids.push_back(id);
       bool pass_ok = true;
-      for (auto& [id, stream] : streams_) {
+      for (uint32_t id : ids) {
+        if (streams_.find(id) == streams_.end()) continue;
         auto res_or = co_await SendOpen(id, 1);
         if (!res_or.ok() || transport_failures_ != epoch) {
           pass_ok = false;
           if (!res_or.ok()) st = res_or.status();
           break;
         }
+        auto it = streams_.find(id);
+        if (it == streams_.end()) continue;
+        StreamState& stream = it->second;
         uint64_t committed = res_or.value().committed;
         uint64_t resolve =
             committed > stream.acked ? committed - stream.acked : 0;
@@ -552,13 +567,15 @@ sim::Co<Status> MuxProducer::Reconnect() {
       }
       if (pass_ok) {
         disconnected_ = false;
-        for (auto& [id, stream] : streams_) {
+        for (uint32_t id : ids) {
+          auto it = streams_.find(id);
+          if (it == streams_.end()) continue;
           // Snapshot: PostRecord awaits, and acks may pop from the deque.
           std::vector<std::shared_ptr<Pending>> resend(
-              stream.pending.begin(), stream.pending.end());
+              it->second.pending.begin(), it->second.pending.end());
           for (auto& pending : resend) {
             if (pending->posted) continue;
-            (void)co_await PostRecord(&stream, pending);
+            (void)co_await PostRecord(id, pending);
             if (!*alive_ || closed_) {
               reconnect_mu_->Unlock();
               co_return Status::Disconnected("endpoint closed");

@@ -44,8 +44,6 @@ struct MuxProducerConfig {
   /// Per-endpoint pipelining window across all streams.
   int max_inflight = 16;
   uint64_t producer_id = 0;
-  /// Max completions drained per CQ wakeup.
-  int poll_batch = 4;
 };
 
 /// Result of a bulk stream open.
@@ -147,8 +145,8 @@ class MuxProducer {
   /// Lazy reconnect: new transport + grant, re-open every stream, resolve
   /// records the broker already committed, re-post the rest.
   sim::Co<Status> Reconnect();
-  /// Position assignment + Write/Send post for one record.
-  sim::Co<Status> PostRecord(StreamState* st, std::shared_ptr<Pending> p);
+  /// Position assignment + Write/Send post for one record of `stream`.
+  sim::Co<Status> PostRecord(uint32_t stream, std::shared_ptr<Pending> p);
   sim::Co<void> RecvAckLoop(std::shared_ptr<bool> alive,
                             std::shared_ptr<rdma::CompletionQueue> cq);
   sim::Co<void> SendCqDrainer(std::shared_ptr<bool> alive,

@@ -9,6 +9,15 @@
 namespace kafkadirect {
 namespace kafka {
 
+namespace {
+
+// Network processor threads framing requests into the queue (Fig. 2).
+constexpr int kNumNetworkThreads = 3;
+// Most bytes a follower's pull-replication fetch asks the leader for.
+constexpr uint32_t kReplicaFetchMaxBytes = 4u << 20;
+
+}  // namespace
+
 Broker::Broker(sim::Simulator& sim, net::Fabric& fabric, tcpnet::Network& tcp,
                BrokerConfig config)
     : sim_(sim),
@@ -18,7 +27,7 @@ Broker::Broker(sim::Simulator& sim, net::Fabric& fabric, tcpnet::Network& tcp,
       node_(fabric.AddNode("broker-" + std::to_string(config.id))),
       rnic_(sim, fabric, node_),
       requests_(sim),
-      net_threads_(sim, config.num_network_threads) {
+      net_threads_(sim, kNumNetworkThreads) {
   // Observability registration happens once here; hot paths only bump the
   // resulting pointers (no allocation, preserving the zero-alloc loops).
   obs::Observability& ob = fabric.obs();
@@ -740,8 +749,8 @@ sim::Co<void> Broker::ReplicaFetcherLoop(TopicPartitionId tp,
     FetchRequest freq;
     freq.tp = tp;
     freq.offset = ps->log.log_end_offset();
-    freq.max_bytes = config_.replica_fetch_max_bytes;
-    freq.max_wait_ns = config_.replica_fetch_max_wait;
+    freq.max_bytes = kReplicaFetchMaxBytes;
+    freq.max_wait_ns = kReplicaFetchMaxWaitNs;
     freq.is_replica = true;
     freq.replica_id = config_.id;
     if (!(co_await conn->Send(Encode(freq, buf_pool_.Acquire()), false))

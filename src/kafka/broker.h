@@ -42,17 +42,12 @@ namespace kafka {
 struct BrokerConfig {
   int32_t id = 0;
   int num_api_workers = 8;
-  int num_network_threads = 3;
   uint64_t segment_capacity = 64ull << 20;  // paper: 1 GiB, scaled for RAM
 
   // --- KafkaDirect module toggles (evaluated independently in §5) ---
   bool rdma_produce = false;
   bool rdma_replicate = false;
   bool rdma_consume = false;
-
-  // TCP pull replication.
-  sim::TimeNs replica_fetch_max_wait = 500 * 1000 * 1000;  // 500 ms
-  uint32_t replica_fetch_max_bytes = 4u << 20;
 
   // RDMA push replication (§4.3.2).
   uint32_t push_replication_credits = 64;
@@ -65,8 +60,6 @@ struct BrokerConfig {
   /// of per-QP receive pools; broker recv-buffer memory becomes O(pool)
   /// instead of O(clients).
   bool use_srq = false;
-  /// SRQ capacity in WRs; <= 0 takes the cost model's max_srq_wr.
-  int srq_depth = 0;
   /// Max completions drained per poller wakeup (1 = per-CQE polling).
   int cq_poll_batch = 1;
 
@@ -81,12 +74,6 @@ struct BrokerConfig {
   // Shared RDMA produce: how long request i waits for request i-1 before
   // the broker aborts and revokes access (§4.2.2).
   sim::TimeNs shared_produce_hole_timeout = 5 * 1000 * 1000;  // 5 ms
-
-  /// Simulator shard domain for this broker's event processing when the
-  /// cluster runs under a ShardedSimulator (DESIGN.md §11). -1 = auto:
-  /// broker id modulo the engine's shard count. Ignored (everything on
-  /// shard 0) under a standalone Simulator.
-  int32_t shard_affinity = -1;
 
   // --- Million-client connection architecture (DESIGN.md §14). All
   // default off so the paper figures stay bit-identical. ---
@@ -133,24 +120,10 @@ struct BrokerConfig {
   /// leader failover, ISR shrink/expand under lag, and the consumer-group
   /// coordinator (join/sync/heartbeat/rebalance generations).
   bool control_plane = false;
-  /// Controller -> broker liveness probe period (also the watchdog tick).
-  sim::TimeNs cp_heartbeat_interval_ns = 2 * 1000 * 1000;  // 2 ms
-  /// Consecutive missed heartbeats before a broker is declared dead.
-  int cp_miss_limit = 3;
-  /// Per-rank delay added to the controller-takeover timeout, so exactly
-  /// one surviving broker claims the next term (lowest id first).
-  sim::TimeNs cp_election_stagger_ns = 4 * 1000 * 1000;  // 2 heartbeats
-  /// ISR lag management: a follower more than this many records behind the
-  /// leader LEO is shrunk out of the ISR; it rejoins once its lag drops
-  /// back under half the threshold and it has fetched recently.
-  int64_t cp_isr_max_lag_records = 512;
-  sim::TimeNs cp_isr_check_interval_ns = 4 * 1000 * 1000;
-  /// Group member expiry: no heartbeat for this long => expelled.
-  sim::TimeNs cp_session_timeout_ns = 20 * 1000 * 1000;  // 20 ms
-  /// Join-window quiesce: a rebalance generation forms once no new join
-  /// has arrived for this long (storms coalesce into one generation).
-  sim::TimeNs cp_rebalance_delay_ns = 1 * 1000 * 1000;  // 1 ms
 };
+
+/// TCP pull replication: how long a follower's fetch long-polls the leader.
+constexpr sim::TimeNs kReplicaFetchMaxWaitNs = 500 * 1000 * 1000;  // 500 ms
 
 /// Broker-side runtime counters, used by benches for CPU-load and
 /// empty-fetch measurements.

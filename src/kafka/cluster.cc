@@ -18,16 +18,11 @@ Status Cluster::Start() {
     }
     KD_RETURN_IF_ERROR(broker->Start());
     // Shard-affinity annotation (DESIGN.md §11): pin the broker's node to
-    // an event-queue domain — template affinity if set, else broker id —
-    // wrapped to the engine's shard count. Standalone simulators have a
-    // single implicit domain.
-    uint32_t shard = cfg.shard_affinity >= 0
-                         ? static_cast<uint32_t>(cfg.shard_affinity)
-                         : static_cast<uint32_t>(i);
+    // an event-queue domain — broker id wrapped to the engine's shard
+    // count. Standalone simulators have a single implicit domain.
+    uint32_t shard = 0;
     if (sim::ShardedSimulator* engine = sim_.engine()) {
-      shard %= engine->num_shards();
-    } else {
-      shard = 0;
+      shard = static_cast<uint32_t>(i) % engine->num_shards();
     }
     fabric_.BindNodeShard(broker->node(), shard);
     brokers_.push_back(std::move(broker));

@@ -19,6 +19,19 @@ void Erase(std::vector<int32_t>* v, int32_t x) {
   v->erase(std::remove(v->begin(), v->end(), x), v->end());
 }
 
+// Controller -> broker liveness probe period (also the watchdog tick).
+constexpr sim::TimeNs kHeartbeatIntervalNs = 2 * 1000 * 1000;  // 2 ms
+// Consecutive missed heartbeats before a broker is declared dead.
+constexpr int kMissLimit = 3;
+// Per-rank delay added to the controller-takeover timeout, so exactly one
+// surviving broker claims the next term (lowest id first).
+constexpr sim::TimeNs kElectionStaggerNs = 4 * 1000 * 1000;  // 2 heartbeats
+// ISR lag management: a follower more than this many records behind the
+// leader LEO is shrunk out of the ISR; it rejoins once its lag drops back
+// under half the threshold and it has fetched recently.
+constexpr int64_t kIsrMaxLagRecords = 512;
+constexpr sim::TimeNs kIsrCheckIntervalNs = 4 * 1000 * 1000;
+
 }  // namespace
 
 ControlPlane::ControlPlane(Broker& broker, std::vector<ControlPlanePeer> peers)
@@ -208,13 +221,10 @@ void ControlPlane::StepDown(int64_t new_term, int32_t new_controller) {
 }
 
 sim::Co<void> ControlPlane::WatchdogLoop() {
-  const sim::TimeNs interval = broker_.config().cp_heartbeat_interval_ns;
-  const sim::TimeNs base_timeout =
-      static_cast<sim::TimeNs>(broker_.config().cp_miss_limit) * interval;
   const sim::TimeNs timeout =
-      base_timeout + rank_ * broker_.config().cp_election_stagger_ns;
+      kMissLimit * kHeartbeatIntervalNs + rank_ * kElectionStaggerNs;
   while (running_) {
-    co_await sim::Delay(sim_, interval);
+    co_await sim::Delay(sim_, kHeartbeatIntervalNs);
     if (!running_) co_return;
     if (is_controller_) continue;
     if (sim_.Now() - last_heartbeat_ns_ >= timeout) {
@@ -227,9 +237,8 @@ sim::Co<void> ControlPlane::WatchdogLoop() {
 }
 
 sim::Co<void> ControlPlane::HeartbeatLoop() {
-  const sim::TimeNs interval = broker_.config().cp_heartbeat_interval_ns;
   while (running_) {
-    co_await sim::Delay(sim_, interval);
+    co_await sim::Delay(sim_, kHeartbeatIntervalNs);
     if (!running_) co_return;
     if (!is_controller_) continue;
     co_await HeartbeatRound();
@@ -241,13 +250,14 @@ sim::Co<void> ControlPlane::HeartbeatRound() {
   hb.term = term_;
   hb.controller_id = broker_.id();
   const int64_t round_term = term_;
+  // await-safe: peers_ is filled only in the constructor.
   for (Peer& p : peers_) {
     if (!running_ || !is_controller_ || term_ != round_term) co_return;
     if (p.info.id == broker_.id() || !p.alive) continue;
     auto reply_or = co_await PeerRpc(p.info.id, Encode(hb));
     if (!reply_or.ok()) {
       p.missed++;
-      if (p.missed >= broker_.config().cp_miss_limit) {
+      if (p.missed >= kMissLimit) {
         p.alive = false;
         p.missed = 0;
         broker_deaths_->Increment();
@@ -269,12 +279,16 @@ sim::Co<void> ControlPlane::HeartbeatRound() {
 sim::Co<void> ControlPlane::FailoverBroker(int32_t dead) {
   // Partitions led by the dead broker get a new leader from the ISR; the
   // rest just shrink it out so their leaders stop waiting on it.
+  // await-safe: assignment_ never loses entries, so `a` stays valid.
   for (auto& [tp, a] : assignment_) {
     if (!running_ || !is_controller_) co_return;
     if (a.leader == dead) {
       int32_t best = -1;
       int64_t best_leo = -1;
-      for (int32_t cand : a.isr) {
+      // Snapshot: a leader reporting an ISR change reassigns a.isr
+      // (RecordAssignment) while PeerRpc is suspended.
+      const std::vector<int32_t> candidates = a.isr;
+      for (int32_t cand : candidates) {
         if (cand == dead || !IsAlive(cand)) continue;
         int64_t leo = -1;
         if (cand == broker_.id()) {
@@ -333,6 +347,7 @@ sim::Co<void> ControlPlane::Broadcast(LeaderAndIsrRequest req) {
   RecordAssignment(req);
   broker_.ApplyLeaderAndIsr(req);
   std::vector<uint8_t> frame = Encode(req);
+  // await-safe: peers_ is filled only in the constructor.
   for (Peer& p : peers_) {
     if (!running_) co_return;
     if (p.info.id == broker_.id() || !p.alive) continue;
@@ -341,16 +356,14 @@ sim::Co<void> ControlPlane::Broadcast(LeaderAndIsrRequest req) {
 }
 
 sim::Co<void> ControlPlane::IsrLoop() {
-  const sim::TimeNs interval = broker_.config().cp_isr_check_interval_ns;
-  const int64_t max_lag = broker_.config().cp_isr_max_lag_records;
   // A follower may only re-enter the ISR if it fetched within a long-poll
   // round plus one check interval — a dead follower's lag reads as zero on
   // an idle partition, but it never fetches.
-  const sim::TimeNs freshness =
-      broker_.config().replica_fetch_max_wait + interval;
+  const sim::TimeNs freshness = kReplicaFetchMaxWaitNs + kIsrCheckIntervalNs;
   while (running_) {
-    co_await sim::Delay(sim_, interval);
+    co_await sim::Delay(sim_, kIsrCheckIntervalNs);
     if (!running_) co_return;
+    // await-safe: partitions_ never loses entries.
     for (auto& [tp, ps] : broker_.partitions_) {
       if (!running_) co_return;
       if (!ps->is_leader) continue;
@@ -363,11 +376,11 @@ sim::Co<void> ControlPlane::IsrLoop() {
         if (it == ps->follower_leo.end()) continue;
         const int64_t lag = leo - it->second;
         const bool in = Contains(nisr, r);
-        if (in && lag > max_lag) {
+        if (in && lag > kIsrMaxLagRecords) {
           Erase(&nisr, r);
           isr_shrinks_->Increment();
           changed = true;
-        } else if (!in && lag <= max_lag / 2) {
+        } else if (!in && lag <= kIsrMaxLagRecords / 2) {
           // Never re-admit a broker the controller declared dead: right
           // after the death its last fetch still looks fresh.
           if (!IsAlive(r)) continue;

@@ -8,6 +8,16 @@
 namespace kafkadirect {
 namespace kafka {
 
+namespace {
+
+// Group member expiry: no heartbeat for this long => expelled.
+constexpr sim::TimeNs kSessionTimeoutNs = 20 * 1000 * 1000;  // 20 ms
+// Join-window quiesce: a rebalance generation forms once no new join has
+// arrived for this long (storms coalesce into one generation).
+constexpr sim::TimeNs kRebalanceDelayNs = 1 * 1000 * 1000;  // 1 ms
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // GroupCoordinator
 // ---------------------------------------------------------------------------
@@ -70,8 +80,8 @@ void GroupCoordinator::StartRebalance(const GroupPtr& g) {
   // it does, and FormGeneration drops whoever misses the hard deadline.
   for (auto& [name, m] : g->members) m.pending_join = false;
   const sim::TimeNs now = sim_.Now();
-  g->join_deadline = now + broker_.config().cp_rebalance_delay_ns;
-  g->prepare_deadline = now + broker_.config().cp_session_timeout_ns;
+  g->join_deadline = now + kRebalanceDelayNs;
+  g->prepare_deadline = now + kSessionTimeoutNs;
   if (!g->form_loop_running) {
     g->form_loop_running = true;
     sim::Spawn(sim_, FormLoop(g));
@@ -79,10 +89,8 @@ void GroupCoordinator::StartRebalance(const GroupPtr& g) {
 }
 
 sim::Co<void> GroupCoordinator::FormLoop(GroupPtr g) {
-  const sim::TimeNs tick =
-      std::max<sim::TimeNs>(1, broker_.config().cp_rebalance_delay_ns / 2);
   while (running_ && !g->dead && g->phase == GroupState::kPreparing) {
-    co_await sim::Delay(sim_, tick);
+    co_await sim::Delay(sim_, kRebalanceDelayNs / 2);
     if (!running_ || g->dead || g->phase != GroupState::kPreparing) break;
     const sim::TimeNs now = sim_.Now();
     bool all_joined = !g->members.empty();
@@ -159,8 +167,7 @@ sim::Co<void> GroupCoordinator::RespondJoin(net::MessageStreamPtr conn,
       broker_.SendResponse(conn, Encode(resp));
       co_return;
     }
-    const bool fired = co_await g->formed->WaitFor(
-        broker_.config().cp_session_timeout_ns);
+    const bool fired = co_await g->formed->WaitFor(kSessionTimeoutNs);
     if (!fired) {
       resp.error = ErrorCode::kRebalanceInProgress;
       broker_.SendResponse(conn, Encode(resp));
@@ -196,7 +203,7 @@ sim::Co<void> GroupCoordinator::HandleJoin(Broker::Request req) {
   MemberState& m = g->members[jreq.member];
   m.pending_join = true;
   m.last_hb = sim_.Now();
-  g->join_deadline = sim_.Now() + broker_.config().cp_rebalance_delay_ns;
+  g->join_deadline = sim_.Now() + kRebalanceDelayNs;
   // The join parks until the generation forms; answer from a side task so
   // this API worker goes back to the queue.
   sim::Spawn(sim_, RespondJoin(req.conn, g, jreq.member));
@@ -302,10 +309,8 @@ sim::Co<void> GroupCoordinator::HandleLeave(Broker::Request req) {
 }
 
 sim::Co<void> GroupCoordinator::ExpiryLoop() {
-  const sim::TimeNs session = broker_.config().cp_session_timeout_ns;
-  const sim::TimeNs tick = std::max<sim::TimeNs>(1, session / 4);
   while (running_) {
-    co_await sim::Delay(sim_, tick);
+    co_await sim::Delay(sim_, kSessionTimeoutNs / 4);
     if (!running_) co_return;
     const sim::TimeNs now = sim_.Now();
     for (auto& [name, g] : groups_) {
@@ -314,7 +319,7 @@ sim::Co<void> GroupCoordinator::ExpiryLoop() {
       if (g->phase != GroupState::kStable) continue;
       bool expired = false;
       for (auto it = g->members.begin(); it != g->members.end();) {
-        if (now - it->second.last_hb > session) {
+        if (now - it->second.last_hb > kSessionTimeoutNs) {
           it = g->members.erase(it);
           expirations_->Increment();
           expired = true;

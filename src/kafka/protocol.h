@@ -5,8 +5,12 @@
 // of the paper.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "common/buffer_pool.h"
@@ -81,6 +85,13 @@ enum class ErrorCode : int16_t {
 
 const char* ErrorCodeName(ErrorCode code);
 
+/// Declares a wire message: its MsgType and its fields in wire order. The
+/// Encode/Decode templates walk Fields(), so each layout is stated once.
+#define KD_WIRE_MESSAGE(type, ...)                  \
+  static constexpr MsgType kType = MsgType::type;   \
+  auto Fields() { return std::tie(__VA_ARGS__); }   \
+  auto Fields() const { return std::tie(__VA_ARGS__); }
+
 struct TopicPartitionId {
   std::string topic;
   int32_t partition = 0;
@@ -100,11 +111,13 @@ struct ProduceRequest {
   TopicPartitionId tp;
   int16_t acks = -1;
   std::vector<uint8_t> batch;
+  KD_WIRE_MESSAGE(kProduceRequest, tp, acks, batch)
 };
 
 struct ProduceResponse {
   ErrorCode error = ErrorCode::kNone;
   int64_t base_offset = -1;
+  KD_WIRE_MESSAGE(kProduceResponse, error, base_offset)
 };
 
 struct FetchRequest {
@@ -117,6 +130,8 @@ struct FetchRequest {
   /// the leader can track ISR progress.
   bool is_replica = false;
   int32_t replica_id = -1;
+  KD_WIRE_MESSAGE(kFetchRequest, tp, offset, max_bytes, max_wait_ns, is_replica,
+                  replica_id)
 };
 
 struct FetchResponse {
@@ -124,16 +139,20 @@ struct FetchResponse {
   int64_t high_watermark = 0;
   int64_t log_end_offset = 0;
   std::vector<uint8_t> batches;
+  KD_WIRE_MESSAGE(kFetchResponse, error, high_watermark, log_end_offset,
+                  batches)
 };
 
 struct MetadataRequest {
   std::string topic;
+  KD_WIRE_MESSAGE(kMetadataRequest, topic)
 };
 
 struct MetadataResponse {
   ErrorCode error = ErrorCode::kNone;
   int32_t num_partitions = 0;
   std::vector<int32_t> leader_broker;  // one entry per partition
+  KD_WIRE_MESSAGE(kMetadataResponse, error, num_partitions, leader_broker)
 };
 
 /// "Get RDMA produce address" (§4.2.2): grants write access to the head
@@ -151,6 +170,8 @@ struct RdmaProduceAccessRequest {
   /// in-range claims (its own overflow claim start). The broker rotates
   /// once commits reach the smallest such target.
   uint64_t rotate_target = 0;
+  KD_WIRE_MESSAGE(kRdmaProduceAccessRequest, tp, exclusive, stale_file_id,
+                  broker_qp, rotate_target)
 };
 
 struct RdmaProduceAccessResponse {
@@ -164,12 +185,15 @@ struct RdmaProduceAccessResponse {
   uint64_t atomic_addr = 0;
   uint32_t atomic_rkey = 0;
   uint16_t next_order = 0;
+  KD_WIRE_MESSAGE(kRdmaProduceAccessResponse, error, file_id, addr, rkey,
+                  capacity, write_pos, atomic_addr, atomic_rkey, next_order)
 };
 
 /// "Get RDMA read access" for consumers (§4.4.2).
 struct RdmaConsumeAccessRequest {
   TopicPartitionId tp;
   int64_t offset = 0;
+  KD_WIRE_MESSAGE(kRdmaConsumeAccessRequest, tp, offset)
 };
 
 struct RdmaConsumeAccessResponse {
@@ -186,6 +210,9 @@ struct RdmaConsumeAccessResponse {
   uint32_t slot_index = 0;
   uint64_t slot_region_addr = 0;
   uint32_t slot_rkey = 0;
+  KD_WIRE_MESSAGE(kRdmaConsumeAccessResponse, error, file_ref, addr, rkey,
+                  start_pos, start_offset, last_readable, is_mutable,
+                  slot_index, slot_region_addr, slot_rkey)
 };
 
 /// Ring-buffer Write consume (DESIGN.md §12): the consumer registers a
@@ -205,6 +232,8 @@ struct RdmaRingConsumeAccessRequest {
   uint64_t ring_capacity = 0;
   uint64_t tail_addr = 0;
   uint32_t tail_rkey = 0;
+  KD_WIRE_MESSAGE(kRdmaRingConsumeAccessRequest, tp, offset, broker_qp,
+                  ring_addr, ring_rkey, ring_capacity, tail_addr, tail_rkey)
 };
 
 struct RdmaRingConsumeAccessResponse {
@@ -213,16 +242,20 @@ struct RdmaRingConsumeAccessResponse {
   int64_t start_offset = 0;   // Kafka offset of the first pushed byte
   uint64_t head_addr = 0;     // broker-side consumed-count word
   uint32_t head_rkey = 0;
+  KD_WIRE_MESSAGE(kRdmaRingConsumeAccessResponse, error, grant_ref,
+                  start_offset, head_addr, head_rkey)
 };
 
 /// Consumer tells the broker a file can be unregistered (§4.4.2).
 struct RdmaUnregisterRequest {
   TopicPartitionId tp;
   uint32_t file_ref = 0;
+  KD_WIRE_MESSAGE(kRdmaUnregisterRequest, tp, file_ref)
 };
 
 struct RdmaUnregisterResponse {
   ErrorCode error = ErrorCode::kNone;
+  KD_WIRE_MESSAGE(kRdmaUnregisterResponse, error)
 };
 
 /// Push-replication handshake: the leader asks a follower for RDMA write
@@ -230,6 +263,7 @@ struct RdmaUnregisterResponse {
 struct ReplicaRdmaAccessRequest {
   TopicPartitionId tp;
   uint16_t stale_file_id = 0;
+  KD_WIRE_MESSAGE(kReplicaRdmaAccessRequest, tp, stale_file_id)
 };
 
 struct ReplicaRdmaAccessResponse {
@@ -240,6 +274,8 @@ struct ReplicaRdmaAccessResponse {
   uint64_t capacity = 0;
   uint64_t write_pos = 0;
   uint32_t credits = 0;  // max outstanding replication writes
+  KD_WIRE_MESSAGE(kReplicaRdmaAccessResponse, error, file_id, addr, rkey,
+                  capacity, write_pos, credits)
 };
 
 /// Consumer-group offset commit (used by the streaming workload, §5.4 —
@@ -248,10 +284,12 @@ struct CommitOffsetRequest {
   TopicPartitionId tp;
   std::string group;
   int64_t offset = 0;
+  KD_WIRE_MESSAGE(kCommitOffsetRequest, tp, group, offset)
 };
 
 struct CommitOffsetResponse {
   ErrorCode error = ErrorCode::kNone;
+  KD_WIRE_MESSAGE(kCommitOffsetResponse, error)
 };
 
 /// EXTENSION (paper §5.4 future work): grants a consumer group an
@@ -260,22 +298,26 @@ struct CommitOffsetResponse {
 struct RdmaCommitAccessRequest {
   TopicPartitionId tp;
   std::string group;
+  KD_WIRE_MESSAGE(kRdmaCommitAccessRequest, tp, group)
 };
 
 struct RdmaCommitAccessResponse {
   ErrorCode error = ErrorCode::kNone;
   uint64_t slot_addr = 0;
   uint32_t slot_rkey = 0;
+  KD_WIRE_MESSAGE(kRdmaCommitAccessResponse, error, slot_addr, slot_rkey)
 };
 
 struct FetchCommittedOffsetRequest {
   TopicPartitionId tp;
   std::string group;
+  KD_WIRE_MESSAGE(kFetchCommittedOffsetRequest, tp, group)
 };
 
 struct FetchCommittedOffsetResponse {
   ErrorCode error = ErrorCode::kNone;
   int64_t offset = -1;
+  KD_WIRE_MESSAGE(kFetchCommittedOffsetResponse, error, offset)
 };
 
 // --- cluster control plane (DESIGN.md §15) ---
@@ -286,11 +328,13 @@ struct FetchCommittedOffsetResponse {
 struct ControllerHeartbeatRequest {
   int64_t term = 0;
   int32_t controller_id = -1;
+  KD_WIRE_MESSAGE(kControllerHeartbeatRequest, term, controller_id)
 };
 
 struct ControllerHeartbeatResponse {
   ErrorCode error = ErrorCode::kNone;
   int64_t term = 0;  // receiver's view, so a stale controller steps down
+  KD_WIRE_MESSAGE(kControllerHeartbeatResponse, error, term)
 };
 
 /// Leadership/ISR install, broadcast by the controller to every alive
@@ -305,22 +349,27 @@ struct LeaderAndIsrRequest {
   bool from_controller = true;
   std::vector<int32_t> isr;       // includes the leader
   std::vector<int32_t> replicas;  // includes the leader
+  KD_WIRE_MESSAGE(kLeaderAndIsrRequest, tp, leader_id, leader_node,
+                  leader_epoch, from_controller, isr, replicas)
 };
 
 struct LeaderAndIsrResponse {
   ErrorCode error = ErrorCode::kNone;
+  KD_WIRE_MESSAGE(kLeaderAndIsrResponse, error)
 };
 
 /// Controller -> ISR member during failover: report log progress so the
 /// controller elects the candidate with the longest log.
 struct LogInfoRequest {
   TopicPartitionId tp;
+  KD_WIRE_MESSAGE(kLogInfoRequest, tp)
 };
 
 struct LogInfoResponse {
   ErrorCode error = ErrorCode::kNone;
   int64_t log_end_offset = -1;
   int64_t high_watermark = -1;
+  KD_WIRE_MESSAGE(kLogInfoResponse, error, log_end_offset, high_watermark)
 };
 
 /// Consumer-group membership (join/sync/heartbeat/leave). The coordinator
@@ -330,17 +379,20 @@ struct JoinGroupRequest {
   std::string group;
   std::string member;
   std::string topic;  // subscription (one topic per group in this model)
+  KD_WIRE_MESSAGE(kJoinGroupRequest, group, member, topic)
 };
 
 struct JoinGroupResponse {
   ErrorCode error = ErrorCode::kNone;
   int64_t generation = 0;
+  KD_WIRE_MESSAGE(kJoinGroupResponse, error, generation)
 };
 
 struct SyncGroupRequest {
   std::string group;
   std::string member;
   int64_t generation = 0;
+  KD_WIRE_MESSAGE(kSyncGroupRequest, group, member, generation)
 };
 
 struct SyncGroupResponse {
@@ -348,120 +400,165 @@ struct SyncGroupResponse {
   int64_t generation = 0;
   std::string topic;
   std::vector<int32_t> partitions;  // this member's assignment
+  KD_WIRE_MESSAGE(kSyncGroupResponse, error, generation, topic, partitions)
 };
 
 struct GroupHeartbeatRequest {
   std::string group;
   std::string member;
   int64_t generation = 0;
+  KD_WIRE_MESSAGE(kGroupHeartbeatRequest, group, member, generation)
 };
 
 struct GroupHeartbeatResponse {
   ErrorCode error = ErrorCode::kNone;
+  KD_WIRE_MESSAGE(kGroupHeartbeatResponse, error)
 };
 
 struct LeaveGroupRequest {
   std::string group;
   std::string member;
+  KD_WIRE_MESSAGE(kLeaveGroupRequest, group, member)
 };
 
 struct LeaveGroupResponse {
   ErrorCode error = ErrorCode::kNone;
+  KD_WIRE_MESSAGE(kLeaveGroupResponse, error)
 };
 
 /// A frame is MsgType (u16) followed by the message body.
 MsgType PeekType(Slice frame);
 
-// --- encode/decode, one pair per message ---
-std::vector<uint8_t> Encode(const ProduceRequest& m);
-std::vector<uint8_t> Encode(const ProduceResponse& m);
-std::vector<uint8_t> Encode(const FetchRequest& m);
-std::vector<uint8_t> Encode(const FetchResponse& m);
-std::vector<uint8_t> Encode(const MetadataRequest& m);
-std::vector<uint8_t> Encode(const MetadataResponse& m);
-std::vector<uint8_t> Encode(const RdmaProduceAccessRequest& m);
-std::vector<uint8_t> Encode(const RdmaProduceAccessResponse& m);
-std::vector<uint8_t> Encode(const RdmaConsumeAccessRequest& m);
-std::vector<uint8_t> Encode(const RdmaConsumeAccessResponse& m);
-std::vector<uint8_t> Encode(const RdmaRingConsumeAccessRequest& m);
-std::vector<uint8_t> Encode(const RdmaRingConsumeAccessResponse& m);
-std::vector<uint8_t> Encode(const RdmaUnregisterRequest& m);
-std::vector<uint8_t> Encode(const RdmaUnregisterResponse& m);
-std::vector<uint8_t> Encode(const ReplicaRdmaAccessRequest& m);
-std::vector<uint8_t> Encode(const ReplicaRdmaAccessResponse& m);
-std::vector<uint8_t> Encode(const CommitOffsetRequest& m);
-std::vector<uint8_t> Encode(const CommitOffsetResponse& m);
-std::vector<uint8_t> Encode(const RdmaCommitAccessRequest& m);
-std::vector<uint8_t> Encode(const RdmaCommitAccessResponse& m);
-std::vector<uint8_t> Encode(const FetchCommittedOffsetRequest& m);
-std::vector<uint8_t> Encode(const FetchCommittedOffsetResponse& m);
-std::vector<uint8_t> Encode(const ControllerHeartbeatRequest& m);
-std::vector<uint8_t> Encode(const ControllerHeartbeatResponse& m);
-std::vector<uint8_t> Encode(const LeaderAndIsrRequest& m);
-std::vector<uint8_t> Encode(const LeaderAndIsrResponse& m);
-std::vector<uint8_t> Encode(const LogInfoRequest& m);
-std::vector<uint8_t> Encode(const LogInfoResponse& m);
-std::vector<uint8_t> Encode(const JoinGroupRequest& m);
-std::vector<uint8_t> Encode(const JoinGroupResponse& m);
-std::vector<uint8_t> Encode(const SyncGroupRequest& m);
-std::vector<uint8_t> Encode(const SyncGroupResponse& m);
-std::vector<uint8_t> Encode(const GroupHeartbeatRequest& m);
-std::vector<uint8_t> Encode(const GroupHeartbeatResponse& m);
-std::vector<uint8_t> Encode(const LeaveGroupRequest& m);
-std::vector<uint8_t> Encode(const LeaveGroupResponse& m);
+template <typename M>
+concept WireMessage = requires(M& m) {
+  { M::kType } -> std::convertible_to<MsgType>;
+  m.Fields();
+};
 
-Status Decode(Slice frame, ProduceRequest* m);
-Status Decode(Slice frame, ProduceResponse* m);
-Status Decode(Slice frame, FetchRequest* m);
-Status Decode(Slice frame, FetchResponse* m);
-Status Decode(Slice frame, MetadataRequest* m);
-Status Decode(Slice frame, MetadataResponse* m);
-Status Decode(Slice frame, RdmaProduceAccessRequest* m);
-Status Decode(Slice frame, RdmaProduceAccessResponse* m);
-Status Decode(Slice frame, RdmaConsumeAccessRequest* m);
-Status Decode(Slice frame, RdmaConsumeAccessResponse* m);
-Status Decode(Slice frame, RdmaRingConsumeAccessRequest* m);
-Status Decode(Slice frame, RdmaRingConsumeAccessResponse* m);
-Status Decode(Slice frame, RdmaUnregisterRequest* m);
-Status Decode(Slice frame, RdmaUnregisterResponse* m);
-Status Decode(Slice frame, ReplicaRdmaAccessRequest* m);
-Status Decode(Slice frame, ReplicaRdmaAccessResponse* m);
-Status Decode(Slice frame, CommitOffsetRequest* m);
-Status Decode(Slice frame, CommitOffsetResponse* m);
-Status Decode(Slice frame, RdmaCommitAccessRequest* m);
-Status Decode(Slice frame, RdmaCommitAccessResponse* m);
-Status Decode(Slice frame, FetchCommittedOffsetRequest* m);
-Status Decode(Slice frame, FetchCommittedOffsetResponse* m);
-Status Decode(Slice frame, ControllerHeartbeatRequest* m);
-Status Decode(Slice frame, ControllerHeartbeatResponse* m);
-Status Decode(Slice frame, LeaderAndIsrRequest* m);
-Status Decode(Slice frame, LeaderAndIsrResponse* m);
-Status Decode(Slice frame, LogInfoRequest* m);
-Status Decode(Slice frame, LogInfoResponse* m);
-Status Decode(Slice frame, JoinGroupRequest* m);
-Status Decode(Slice frame, JoinGroupResponse* m);
-Status Decode(Slice frame, SyncGroupRequest* m);
-Status Decode(Slice frame, SyncGroupResponse* m);
-Status Decode(Slice frame, GroupHeartbeatRequest* m);
-Status Decode(Slice frame, GroupHeartbeatResponse* m);
-Status Decode(Slice frame, LeaveGroupRequest* m);
-Status Decode(Slice frame, LeaveGroupResponse* m);
+// One size/put/get helper per field type. Scalars (fixed-width integers,
+// bool, ErrorCode) travel little-endian at their own width; strings and
+// byte payloads carry a u32 length, i32 lists a u32 count.
+namespace wire {
 
-// --- pooled variants for the data-path messages ---
-//
-// The `reuse` overloads encode into a recycled vector (cleared first), so
-// a pooled buffer's capacity is reused instead of reallocating per
-// message. The BufferPool overloads fill the payload field (batch /
-// batches) from the pool; pass nullptr for plain allocation.
-std::vector<uint8_t> Encode(const ProduceRequest& m,
-                            std::vector<uint8_t> reuse);
-std::vector<uint8_t> Encode(const ProduceResponse& m,
-                            std::vector<uint8_t> reuse);
-std::vector<uint8_t> Encode(const FetchRequest& m, std::vector<uint8_t> reuse);
-std::vector<uint8_t> Encode(const FetchResponse& m,
-                            std::vector<uint8_t> reuse);
-Status Decode(Slice frame, ProduceRequest* m, BufferPool* pool);
-Status Decode(Slice frame, FetchResponse* m, BufferPool* pool);
+template <typename T>
+concept Scalar = std::is_integral_v<T> || std::is_enum_v<T>;
+
+template <Scalar T>
+constexpr size_t Size(T) { return sizeof(T); }
+inline size_t Size(const std::string& s) { return 4 + s.size(); }
+inline size_t Size(const std::vector<uint8_t>& b) { return 4 + b.size(); }
+inline size_t Size(const std::vector<int32_t>& v) { return 4 + 4 * v.size(); }
+inline size_t Size(const TopicPartitionId& tp) { return Size(tp.topic) + 4; }
+
+template <Scalar T>
+void Put(BinaryWriter* w, T v) {
+  if constexpr (sizeof(T) == 1) {
+    w->PutU8(static_cast<uint8_t>(v));
+  } else if constexpr (sizeof(T) == 2) {
+    w->PutU16(static_cast<uint16_t>(v));
+  } else if constexpr (sizeof(T) == 4) {
+    w->PutU32(static_cast<uint32_t>(v));
+  } else {
+    static_assert(sizeof(T) == 8);
+    w->PutU64(static_cast<uint64_t>(v));
+  }
+}
+inline void Put(BinaryWriter* w, const std::string& s) { w->PutString(s); }
+inline void Put(BinaryWriter* w, const std::vector<uint8_t>& b) {
+  w->PutBytes(Slice(b));
+}
+inline void Put(BinaryWriter* w, const std::vector<int32_t>& v) {
+  w->PutU32(static_cast<uint32_t>(v.size()));
+  for (int32_t x : v) w->PutI32(x);
+}
+inline void Put(BinaryWriter* w, const TopicPartitionId& tp) {
+  w->PutString(tp.topic);
+  w->PutI32(tp.partition);
+}
+
+template <Scalar T>
+Status Get(BinaryReader* r, T* out, BufferPool*) {
+  Slice raw;
+  KD_RETURN_IF_ERROR(r->GetRaw(sizeof(T), &raw));
+  uint64_t v = 0;
+  if constexpr (sizeof(T) == 1) {
+    v = raw[0];
+  } else if constexpr (sizeof(T) == 2) {
+    v = DecodeFixed16(raw.data());
+  } else if constexpr (sizeof(T) == 4) {
+    v = DecodeFixed32(raw.data());
+  } else {
+    v = DecodeFixed64(raw.data());
+  }
+  *out = static_cast<T>(v);
+  return Status::OK();
+}
+inline Status Get(BinaryReader* r, std::string* s, BufferPool*) {
+  return r->GetString(s);
+}
+/// Copies the payload out of the frame, into a pooled buffer when given.
+inline Status Get(BinaryReader* r, std::vector<uint8_t>* b, BufferPool* pool) {
+  Slice view;
+  KD_RETURN_IF_ERROR(r->GetBytes(&view));
+  if (pool == nullptr) {
+    *b = view.ToVector();
+  } else {
+    *b = pool->Acquire(view.size());
+    if (!view.empty()) std::memcpy(b->data(), view.data(), view.size());
+  }
+  return Status::OK();
+}
+/// The count comes off the wire: it must fit the bytes left in the frame
+/// before anything is allocated for it.
+inline Status Get(BinaryReader* r, std::vector<int32_t>* v, BufferPool* pool) {
+  uint32_t n = 0;
+  KD_RETURN_IF_ERROR(r->GetU32(&n));
+  if (n > r->remaining() / 4) {
+    return Status::OutOfRange("i32 list count exceeds the frame");
+  }
+  v->resize(n);
+  for (int32_t& x : *v) KD_RETURN_IF_ERROR(Get(r, &x, pool));
+  return Status::OK();
+}
+inline Status Get(BinaryReader* r, TopicPartitionId* tp, BufferPool* pool) {
+  KD_RETURN_IF_ERROR(r->GetString(&tp->topic));
+  return Get(r, &tp->partition, pool);
+}
+
+}  // namespace wire
+
+/// Encodes `m` as MsgType (u16) then its fields in wire order. `reuse`
+/// supplies the storage (cleared first), typically a pooled buffer whose
+/// capacity survives from an earlier frame; the exact frame size is
+/// reserved up front, so a payload is copied once.
+template <WireMessage M>
+std::vector<uint8_t> Encode(const M& m, std::vector<uint8_t> reuse = {}) {
+  const size_t size = std::apply(
+      [](const auto&... f) { return (size_t{2} + ... + wire::Size(f)); },
+      m.Fields());
+  BinaryWriter w(std::move(reuse), size);
+  w.PutU16(static_cast<uint16_t>(M::kType));
+  std::apply([&w](const auto&... f) { (wire::Put(&w, f), ...); },
+             m.Fields());
+  return w.Release();
+}
+
+/// Decodes a frame of M's type. With a `pool`, a byte payload (batch /
+/// batches) lands in a recycled buffer instead of a fresh allocation.
+template <WireMessage M>
+Status Decode(Slice frame, M* m, BufferPool* pool = nullptr) {
+  BinaryReader r(frame);
+  uint16_t type = 0;
+  KD_RETURN_IF_ERROR(r.GetU16(&type));
+  if (type != static_cast<uint16_t>(M::kType)) {
+    return Status::InvalidArgument("unexpected message type");
+  }
+  Status st;
+  std::apply(
+      [&](auto&... f) { (void)((st = wire::Get(&r, &f, pool)).ok() && ...); },
+      m->Fields());
+  return st;
+}
 
 }  // namespace kafka
 }  // namespace kafkadirect

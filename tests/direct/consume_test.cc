@@ -399,6 +399,49 @@ TEST_F(KdClusterTest, RdmaConsumeDeniedWhenModuleDisabled) {
   EXPECT_TRUE(denied);
 }
 
+// Once a connection's metadata slots are all taken, the next head-file
+// grant is refused without leaving its segment registered or exposing a
+// usable rkey.
+TEST_F(KdClusterTest, RefusedConsumeGrantLeavesNoRegistration) {
+  Boot(1, 1, 1, true, false, /*rdma_consume=*/true);
+  TopicPartitionId tp{"t", 0};
+  uint32_t granted = 0;
+  uint64_t registered_before = 0;
+  kafka::RdmaConsumeAccessResponse refused;
+  bool done = false;
+  auto run = [](KdClusterTest* t, TopicPartitionId tp, uint32_t* granted,
+                uint64_t* registered_before,
+                kafka::RdmaConsumeAccessResponse* refused,
+                bool* done) -> sim::Co<void> {
+    KafkaDirectBroker* broker = t->Leader(tp);
+    auto conn = (co_await t->tcpnet_->Connect(t->client_node_, broker->node(),
+                                              kafka::kKafkaPort))
+                    .value();
+    kafka::RdmaConsumeAccessRequest req{tp, 0};
+    for (uint32_t i = 0; i <= ConsumerSession::kNumSlots; i++) {
+      *registered_before = broker->rnic().registered_bytes();
+      KD_CHECK((co_await conn->Send(Encode(req), false)).ok());
+      auto reply = co_await conn->Recv();
+      KD_CHECK(reply.ok());
+      kafka::RdmaConsumeAccessResponse resp;
+      KD_CHECK(Decode(Slice(reply.value()), &resp).ok());
+      if (resp.error == kafka::ErrorCode::kNone) {
+        (*granted)++;
+      } else {
+        *refused = resp;
+      }
+    }
+    *done = true;
+  };
+  sim::Spawn(sim_, run(this, tp, &granted, &registered_before, &refused,
+                       &done));
+  RunToFlag(&done);
+  EXPECT_EQ(granted, ConsumerSession::kNumSlots);
+  EXPECT_EQ(refused.error, kafka::ErrorCode::kRdmaAccessDenied);
+  EXPECT_EQ(Leader(tp)->rnic().registered_bytes(), registered_before);
+  EXPECT_EQ(Leader(tp)->rnic().LookupMr(refused.rkey), nullptr);
+}
+
 }  // namespace
 }  // namespace kd
 }  // namespace kafkadirect

@@ -198,6 +198,54 @@ TEST_F(QpChurnTest, EvictionRacesInFlightAck) {
   DrainShutdown();
 }
 
+// Streams closed while the reconnect pass is re-opening them: the pass is
+// suspended in SendOpen for the first stream when CloseStreams erases all
+// of them, and must resume without touching the erased stream state.
+TEST_F(QpChurnTest, CloseStreamsDuringReconnectReopen) {
+  auto cfg = MuxConfig();
+  BootWithConfig(cfg, 1, 1, 1);
+  TopicPartitionId tp{"t", 0};
+  constexpr uint32_t kStreams = 8;
+  bool done = false;
+  uint64_t reconnects = 0;
+  auto run = [](QpChurnTest* t, TopicPartitionId tp, uint64_t* reconnects,
+                bool* done) -> sim::Co<void> {
+    MuxProducer endpoint(t->sim_, *t->fabric_, *t->tcpnet_, t->client_node_,
+                         MuxProducerConfig{});
+    KD_CHECK((co_await endpoint.Connect(t->Leader(tp), tp)).ok());
+    KD_CHECK((co_await endpoint.OpenStreams(1, kStreams)).ok());
+    KD_CHECK((co_await endpoint.Produce(1, Slice("k", 1), Slice("before")))
+                 .ok());
+    // A stream re-attaching to the replacement QP means the broker has
+    // answered the pass's first single-stream re-open; the grant is still
+    // on the wire, so the pass sits in SendOpen.
+    const obs::Counter* reattached =
+        t->fabric_->obs().metrics.FindCounter("kd.rdma.cache.reconnects");
+    KD_CHECK(reattached != nullptr);
+    const uint64_t reattached_before = reattached->value();
+    KD_CHECK(t->Leader(tp)->EvictQp(endpoint.broker_qp_num()));
+    while (reattached->value() == reattached_before) {
+      co_await sim::Delay(t->sim_, 100);
+    }
+    KD_CHECK((co_await endpoint.CloseStreams(1, kStreams)).ok());
+    // The endpoint stays usable once the pass completes.
+    auto open = co_await endpoint.OpenStreams(100, 2);
+    KD_CHECK(open.ok() && open.value().admitted == 2u);
+    auto off = co_await endpoint.Produce(100, Slice("k", 1), Slice("after"));
+    KD_CHECK(off.ok()) << off.status().ToString();
+    KD_CHECK(endpoint.open_streams() == 2u);
+    *reconnects = endpoint.reconnects();
+    endpoint.Close();
+    *done = true;
+  };
+  sim::Spawn(sim_, run(this, tp, &reconnects, &done));
+  RunToFlag(&done);
+  EXPECT_EQ(reconnects, 1u);
+  EXPECT_EQ(Leader(tp)->stats().rdma_produce_requests, 2u);
+  ExpectInvariantsHold();
+  DrainShutdown();
+}
+
 // §15 satellite: ONE transport QP carries streams for MULTIPLE
 // partitions. The endpoint takes a second head-file grant over the same
 // control channel (AddPartition) and binds stream ranges to each

@@ -70,7 +70,6 @@ TEST(ObsInvariantsTest, SrqAccountingAndZeroCopyHoldWithSrqEnabled) {
   DeploymentConfig deploy;
   deploy.broker.rdma_produce = true;
   deploy.broker.use_srq = true;
-  deploy.broker.srq_depth = 256;
   deploy.broker.cq_poll_batch = 8;
   TestCluster cluster(deploy);
   ProduceOptions options;
