@@ -1,6 +1,7 @@
 // Exports the sharded simulator's engine and per-shard counters into a
 // MetricsRegistry (DESIGN.md §11): epoch barriers crossed, work steals,
-// cross-shard mailbox traffic and depth. Gauges, not counters, so a
+// cross-shard mailbox traffic and depth, pending events and their peak
+// (a pile-up of queued events shows there). Gauges, not counters, so a
 // re-export after another run overwrites instead of double-counting.
 #pragma once
 
@@ -41,6 +42,10 @@ inline void ExportShardStats(MetricsRegistry& metrics,
         ->Set(static_cast<int64_t>(st.mailbox_max_depth));
     metrics.GetGauge(p + "lookahead_clamps")
         ->Set(static_cast<int64_t>(st.lookahead_clamps));
+    metrics.GetGauge(p + "pending_events")
+        ->Set(static_cast<int64_t>(st.pending_events));
+    metrics.GetGauge(p + "pending_events_peak")
+        ->Set(static_cast<int64_t>(st.pending_events_peak));
   }
 }
 

@@ -36,7 +36,8 @@ class Delay {
 inline Delay Yield(Simulator& sim) { return Delay(sim, 0); }
 
 /// A broadcast signal. Waiters block until Set() is called; WaitFor adds a
-/// timeout. Set wakes all current waiters. Reset() re-arms the event.
+/// timeout, which a wakeup cancels. Set wakes all current waiters. Reset()
+/// re-arms the event.
 class Event {
  public:
   explicit Event(Simulator& sim) : sim_(sim) {}
@@ -64,6 +65,7 @@ class Event {
  private:
   struct Node {
     std::coroutine_handle<> h;
+    EventId timeout;     // pending WaitFor timeout, cancelled on wakeup
     bool done = false;   // resume already scheduled
     bool result = false; // true = signaled, false = timed out
   };
@@ -85,8 +87,8 @@ class Event {
       if (timeout_ >= 0) {
         auto node = node_;
         Simulator& sim = ev_->sim_;
-        sim.Schedule(timeout_, [node, &sim]() {
-          if (node->done) return;
+        node_->timeout = sim.Schedule(timeout_, [node, &sim]() {
+          KD_DCHECK(!node->done);  // a wakeup cancels the timeout
           node->done = true;
           node->result = false;
           sim.Schedule(0, [node]() { node->h.resume(); });
@@ -110,6 +112,7 @@ class Event {
       if (node->done) continue;
       node->done = true;
       node->result = true;
+      sim_.Cancel(node->timeout);  // frees the timer's hold on the node
       sim_.Schedule(0, [node]() { node->h.resume(); });
     }
   }

@@ -100,6 +100,8 @@ ShardStats ShardedSimulator::shard_stats(uint32_t i) const {
   KD_DCHECK(i < num_shards_);
   ShardStats s = stats_[i];
   s.events = shards_[i]->events_processed();
+  s.pending_events = shards_[i]->pending_events();
+  s.pending_events_peak = shards_[i]->pending_events_peak();
   return s;
 }
 

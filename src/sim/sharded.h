@@ -77,6 +77,8 @@ struct alignas(64) ShardStats {
   uint64_t mailbox_spills = 0;    // sends that overflowed a ring (src side)
   uint64_t mailbox_max_depth = 0; // max inbox backlog seen at a drain
   uint64_t lookahead_clamps = 0;  // cross sends with delay < lookahead
+  uint64_t pending_events = 0;    // live queued events (from the shard)
+  uint64_t pending_events_peak = 0;
 };
 
 class ShardedSimulator {
@@ -129,7 +131,8 @@ class ShardedSimulator {
   /// Epoch barriers crossed over the engine's lifetime.
   uint64_t epochs() const { return epochs_; }
 
-  /// Snapshot of one shard's counters (events filled from the shard).
+  /// Snapshot of one shard's counters (events and pending events filled
+  /// from the shard).
   ShardStats shard_stats(uint32_t i) const;
 
   /// Internal: mailbox send from shard `src` to shard `dst`, `delay` ns

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 
 #include "common/random.h"
 #include "sim/simulator.h"
@@ -28,6 +29,18 @@ struct FingerprintWorkload {
   Random rng{12345};
   uint64_t hash = 1469598103934665603ull;  // FNV-1a offset basis
 
+  // Decoys: events scheduled among the real ones and cancelled before
+  // they are due. One sits in each child's bucket just ahead of it and is
+  // cancelled at once; one per firing lands in the overflow heap and is
+  // cancelled eight firings later, or when the last real event fires.
+  // They draw from their own RNG, so the golden constants hold with them
+  // on exactly when cancelled entries leave the live pop order alone.
+  bool decoys = false;
+  Random decoy_rng{777};
+  std::deque<EventId> far_decoys{};
+  uint64_t real_pending = 0;
+  uint64_t decoys_run = 0;
+
   void Mix(uint64_t v) {
     hash ^= v;
     hash *= 1099511628211ull;  // FNV-1a prime
@@ -39,13 +52,30 @@ struct FingerprintWorkload {
   void Fire(uint64_t id, int depth) {
     Mix(id * 2654435761ull);
     Mix(static_cast<uint64_t>(sim.Now()));
-    if (depth >= 3) return;
-    const int kids = static_cast<int>(rng.Uniform(3));
-    for (int k = 0; k < kids; k++) {
-      const uint64_t child = id * 4 + static_cast<uint64_t>(k) + 1;
-      const TimeNs delay = static_cast<TimeNs>(rng.Uniform(50));
-      sim.Schedule(delay, [this, child, depth] { Fire(child, depth + 1); });
+    real_pending--;
+    if (depth < 3) {
+      const int kids = static_cast<int>(rng.Uniform(3));
+      for (int k = 0; k < kids; k++) {
+        const uint64_t child = id * 4 + static_cast<uint64_t>(k) + 1;
+        const TimeNs delay = static_cast<TimeNs>(rng.Uniform(50));
+        const EventId near = decoys ? Decoy(delay) : EventId{};
+        sim.Schedule(delay, [this, child, depth] { Fire(child, depth + 1); });
+        real_pending++;
+        sim.Cancel(near);
+      }
     }
+    if (!decoys) return;
+    far_decoys.push_back(
+        Decoy(2000 + static_cast<TimeNs>(decoy_rng.Uniform(3000))));
+    while (!far_decoys.empty() &&
+           (far_decoys.size() > 8 || real_pending == 0)) {
+      sim.Cancel(far_decoys.front());
+      far_decoys.pop_front();
+    }
+  }
+
+  EventId Decoy(TimeNs delay) {
+    return sim.Schedule(delay, [this] { decoys_run++; });
   }
 };
 
@@ -57,6 +87,7 @@ inline void SeedFingerprintRoots(FingerprintWorkload& w) {
   for (uint64_t i = 0; i < 512; i++) {
     const TimeNs at = static_cast<TimeNs>(root_rng.Uniform(1000));
     w.sim.Schedule(at, [&w, i] { w.Fire(i * 131, 0); });
+    w.real_pending++;
   }
 }
 

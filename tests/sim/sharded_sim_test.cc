@@ -3,12 +3,14 @@
 //     fingerprint constants bit-identically;
 //   - a cross-shard workload produces the same per-shard fingerprints at
 //     every thread count {1,2,4,8} and across seeds, parallel vs the
-//     deterministic merged schedule;
+//     deterministic merged schedule, also with shard-local timers armed
+//     and cancelled on every firing;
 //   - mailbox stress: bursts overflowing a tiny SPSC ring (spill path),
 //     randomized latencies, per-sender FIFO on a fixed-latency stream;
 //   - lookahead clamping, Stop, RunUntil, and stats/obs export sanity.
 #include "sim/sharded.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -67,6 +69,14 @@ struct ShardState {
   Simulator* sim = nullptr;
   Random rng{0};
   uint64_t hash = kFnvBasis;
+  // With `timers` on, every firing also arms a timer on its own shard and
+  // cancels one of the shard's 16 latest timers (from its own RNG, so the
+  // cross-shard draws above are unchanged).
+  bool timers = false;
+  Random timer_rng{0};
+  std::vector<EventId> armed{};
+  uint64_t timers_fired = 0;
+  uint64_t cancelled = 0;
 
   void Mix(uint64_t v) {
     hash ^= v;
@@ -74,11 +84,27 @@ struct ShardState {
   }
 };
 
+void ArmAndCancelTimer(ShardState* st, uint32_t s, uint64_t id) {
+  ShardState& me = st[s];
+  // Half inside the timing wheel's window, half in the overflow heap.
+  const TimeNs delay = static_cast<TimeNs>(300 + me.timer_rng.Uniform(3000));
+  me.armed.push_back(me.sim->Schedule(delay, [st, s, id] {
+    ShardState& self = st[s];
+    self.timers_fired++;
+    self.Mix(~id);
+    self.Mix(static_cast<uint64_t>(self.sim->Now()));
+  }));
+  const size_t window = std::min<size_t>(16, me.armed.size());
+  const size_t victim = me.armed.size() - 1 - me.timer_rng.Uniform(window);
+  if (me.sim->Cancel(me.armed[victim])) me.cancelled++;
+}
+
 void CrossFire(ShardState* st, uint32_t num_shards, uint32_t s, uint64_t id,
                int depth) {
   ShardState& me = st[s];
   me.Mix(id * 2654435761ull);
   me.Mix(static_cast<uint64_t>(me.sim->Now()));
+  if (me.timers) ArmAndCancelTimer(st, s, id);
   if (depth >= 4) return;
   const int kids = static_cast<int>(me.rng.Uniform(3));
   for (int k = 0; k < kids; k++) {
@@ -105,10 +131,12 @@ struct ShardedResult {
   uint64_t fingerprint = kFnvBasis;
   uint64_t events = 0;
   uint64_t cross = 0;
+  uint64_t cancelled = 0;
 };
 
 ShardedResult RunShardedWorkload(uint32_t shards, uint32_t threads,
-                                 bool deterministic, uint64_t seed) {
+                                 bool deterministic, uint64_t seed,
+                                 bool timers = false) {
   ShardedSimulator engine(ShardedConfig{.num_shards = shards,
                                         .num_threads = threads,
                                         .lookahead_ns = 100,
@@ -118,6 +146,8 @@ ShardedResult RunShardedWorkload(uint32_t shards, uint32_t threads,
   for (uint32_t s = 0; s < shards; s++) {
     st[s].sim = &engine.shard(s);
     st[s].rng = Random(seed * 997 + s);
+    st[s].timers = timers;
+    st[s].timer_rng = Random(seed * 31 + s);
   }
   Random root_rng(seed);
   for (uint32_t s = 0; s < shards; s++) {
@@ -137,6 +167,10 @@ ShardedResult RunShardedWorkload(uint32_t shards, uint32_t threads,
     r.fingerprint ^= st[s].hash;
     r.fingerprint *= kFnvPrime;
     r.cross += engine.shard_stats(s).cross_sent;
+    r.cancelled += st[s].cancelled;
+    // Every timer either ran or was cancelled, and none is left pending.
+    EXPECT_EQ(st[s].timers_fired + st[s].cancelled, st[s].armed.size());
+    EXPECT_EQ(engine.shard(s).pending_events(), 0u);
   }
   r.events = engine.events_processed();
   return r;
@@ -154,6 +188,25 @@ TEST(ShardedSimulatorTest, ParallelMatchesMergedAcrossThreadsAndSeeds) {
       EXPECT_EQ(r.fingerprint, golden.fingerprint)
           << "seed " << seed << " threads " << threads;
       EXPECT_EQ(r.events, golden.events)
+          << "seed " << seed << " threads " << threads;
+    }
+  }
+}
+
+TEST(ShardedSimulatorTest, CancellationMatchesAcrossMergedAndParallel) {
+  for (uint64_t seed : {5ull, 99ull}) {
+    const ShardedResult golden = RunShardedWorkload(
+        4, 1, /*deterministic=*/true, seed, /*timers=*/true);
+    EXPECT_GT(golden.cancelled, 0u);
+    EXPECT_GT(golden.cross, 0u) << "workload never crossed shards";
+    for (uint32_t threads : {1u, 2u, 4u}) {
+      const ShardedResult r = RunShardedWorkload(
+          4, threads, /*deterministic=*/false, seed, /*timers=*/true);
+      EXPECT_EQ(r.fingerprint, golden.fingerprint)
+          << "seed " << seed << " threads " << threads;
+      EXPECT_EQ(r.events, golden.events)
+          << "seed " << seed << " threads " << threads;
+      EXPECT_EQ(r.cancelled, golden.cancelled)
           << "seed " << seed << " threads " << threads;
     }
   }
@@ -390,9 +443,16 @@ TEST(ShardedSimulatorTest, ShardStatsExportToMetricsRegistry) {
                                         .lookahead_ns = 100});
   engine.shard(0).ScheduleCross(1, 200, [] {});
   engine.shard(0).Schedule(1, [] {});
-  engine.Run();
   obs::MetricsRegistry metrics;
   obs::ExportShardStats(metrics, engine);
+  ASSERT_NE(metrics.FindGauge("sim.shard0.pending_events"), nullptr);
+  EXPECT_EQ(metrics.FindGauge("sim.shard0.pending_events")->value(), 1);
+  EXPECT_EQ(metrics.FindGauge("sim.shard1.pending_events")->value(), 1);
+  engine.Run();
+  obs::ExportShardStats(metrics, engine);
+  EXPECT_EQ(metrics.FindGauge("sim.shard0.pending_events")->value(), 0);
+  ASSERT_NE(metrics.FindGauge("sim.shard0.pending_events_peak"), nullptr);
+  EXPECT_EQ(metrics.FindGauge("sim.shard0.pending_events_peak")->value(), 1);
   ASSERT_NE(metrics.FindGauge("sim.engine.num_shards"), nullptr);
   EXPECT_EQ(metrics.FindGauge("sim.engine.num_shards")->value(), 2);
   EXPECT_EQ(metrics.FindGauge("sim.engine.events")->value(), 2);

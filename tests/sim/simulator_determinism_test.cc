@@ -34,6 +34,24 @@ TEST(SimulatorDeterminismTest, SchedulingOrderFingerprintIsStable) {
   EXPECT_EQ(r.end_time, 1113);
 }
 
+// Decoys scheduled among the real events and cancelled before they are
+// due, in the real events' own wheel buckets and in the overflow heap
+// across its compactions, must leave the live pop order, and with it the
+// golden constants, untouched.
+TEST(SimulatorDeterminismTest, CancelledDecoysLeaveFingerprintUnchanged) {
+  Simulator sim;
+  FingerprintWorkload w{sim};
+  w.decoys = true;
+  SeedFingerprintRoots(w);
+  sim.Run();
+  EXPECT_EQ(w.hash, 0xC6C2C9E9913801F5ull);
+  EXPECT_EQ(sim.events_processed(), 2110u);
+  EXPECT_EQ(sim.Now(), 1113);
+  EXPECT_EQ(w.decoys_run, 0u);
+  EXPECT_TRUE(sim.Idle());
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
 TEST(SimulatorDeterminismTest, RepeatedRunsAreBitIdentical) {
   const FingerprintResult a = RunFingerprintWorkload();
   const FingerprintResult b = RunFingerprintWorkload();

@@ -11,6 +11,9 @@
 # along: broker kills mid-traffic, controller re-election, group-rebalance
 # storms — teardown-heavy scenarios where a parked coroutine frame
 # (purgatory waiter, ack reader) would leak if shutdown missed a wakeup.
+# The purgatory pile-up regression rides along: 40,000 acks=all produces
+# whose wakeups cancel their timeouts, so LSan shows that each cancelled
+# timeout freed the waiter node it captured.
 #
 # Usage: tools/check_asan.sh
 set -euo pipefail
@@ -19,7 +22,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="$ROOT/build-asan"
 
 cmake --preset asan -S "$ROOT" >/dev/null
-cmake --build "$BUILD_DIR" -j"$(nproc)" --target common_test sim_test sharded_test obs_test churn_test failover_test
+cmake --build "$BUILD_DIR" -j"$(nproc)" --target common_test sim_test sharded_test obs_test churn_test failover_test purgatory_test
 
 # No LSAN_OPTIONS / suppression file: deployment teardown is now
 # coroutine-aware (Cluster::Shutdown walks brokers -> QPs/sockets ->
@@ -34,5 +37,6 @@ export UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1
 "$BUILD_DIR/tests/obs_test"
 "$BUILD_DIR/tests/churn_test"
 "$BUILD_DIR/tests/failover_test"
+"$BUILD_DIR/tests/purgatory_test"
 
-echo "asan/ubsan: all common + sim + sharded + obs + churn + failover tests passed"
+echo "asan/ubsan: all common + sim + sharded + obs + churn + failover + purgatory tests passed"

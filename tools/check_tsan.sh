@@ -5,11 +5,13 @@
 # (sim/sharded.h) is where real threads enter — the epoch barrier, the
 # shard-claim atomics, and the SPSC mailbox rings — so its tests (parallel
 # fingerprint equality, mailbox stress, the two-thread ring stress) are the
-# primary subjects of this pass. The obs suite rides along: the flight
-# recorder borrows the SPSC ring layout and must stay clean under the same
-# scrutiny even though the harness drives it from merged (single-threaded)
-# mode. The §14 churn suite (QP connect/disconnect cycles, LRU eviction,
-# reconnect racing in-flight acks) rides along for the same reason. The §15
+# primary subjects of this pass, event cancellation on every shard
+# included (CancellationMatchesAcrossMergedAndParallel). The obs suite
+# rides along: the flight recorder borrows the SPSC ring layout and must
+# stay clean under the same scrutiny even though the harness drives it
+# from merged (single-threaded) mode. The §14 churn suite (QP
+# connect/disconnect cycles, LRU eviction, reconnect racing in-flight
+# acks) rides along for the same reason. The §15
 # failover suite exercises the sharded engine under broker death: its
 # shard-count determinism test runs the same leader-kill scenario on 1 and 4
 # shards, so the epoch barrier and merge path see teardown-heavy traffic.
