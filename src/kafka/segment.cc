@@ -11,7 +11,7 @@ Status Segment::Append(Slice batch, uint32_t record_count) {
   if (batch.size() > remaining()) {
     return Status::ResourceExhausted("segment full");
   }
-  std::memcpy(buf_.data() + size_, batch.data(), batch.size());
+  std::memcpy(data() + size_, batch.data(), batch.size());
   return CommitInPlace(size_, batch.size(), record_count);
 }
 

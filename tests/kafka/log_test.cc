@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "kafka/record.h"
 
 namespace kafkadirect {
@@ -55,6 +58,32 @@ TEST(SegmentTest, CommitInPlaceRequiresContiguity) {
   EXPECT_TRUE(seg.CommitInPlace(0, b.size(), 1).ok());
   EXPECT_EQ(seg.size(), b.size());
   EXPECT_EQ(seg.next_offset(), 1);
+}
+
+// Segments are demand-zero (DESIGN.md §8): whatever memory a segment
+// reuses, every byte past the committed prefix reads as zero, before and
+// after appends, at a test size and at the paper's 64 MiB file size.
+TEST(SegmentTest, BytesBeyondSizeReadAsZero) {
+  for (uint64_t capacity : {uint64_t{4096}, uint64_t{64} << 20}) {
+    {
+      Segment used(0, capacity);  // garbage a later segment may reuse
+      std::memset(used.data(), 0xAB, capacity);
+    }
+    Segment seg(0, capacity);
+    auto tail_is_zero = [&seg] {
+      return std::all_of(seg.data() + seg.size(),
+                         seg.data() + seg.capacity(),
+                         [](uint8_t b) { return b == 0; });
+    };
+    EXPECT_EQ(seg.capacity(), capacity);
+    EXPECT_TRUE(tail_is_zero()) << "capacity " << capacity;
+    for (int i = 0; i < 3; i++) {
+      auto b = Batch(seg.next_offset(), 2, 100);
+      ASSERT_TRUE(seg.Append(Slice(b), 2).ok());
+    }
+    EXPECT_GT(seg.size(), 0u);
+    EXPECT_TRUE(tail_is_zero()) << "capacity " << capacity;
+  }
 }
 
 TEST(PartitionLogTest, AppendAndRead) {
