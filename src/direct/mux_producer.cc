@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <span>
+#include <tuple>
+#include <utility>
 
 #include "kafka/record.h"
 #include "sim/awaitable.h"
@@ -202,6 +204,12 @@ sim::Co<StatusOr<MuxOpenResult>> MuxProducer::OpenStreams(
     co_return Status::FailedPrecondition(
         "no produce grant for partition (AddPartition first)");
   }
+  for (auto it = streams_.lower_bound(base);
+       it != streams_.end() && it->first - base < count; ++it) {
+    if (it->second.closing) {
+      co_return Status::FailedPrecondition("stream still closing");
+    }
+  }
   if (disconnected_) KD_CO_RETURN_IF_ERROR(co_await Reconnect());
   auto res_or = co_await SendOpen(base, count);
   if (!res_or.ok()) co_return res_or.status();
@@ -210,7 +218,7 @@ sim::Co<StatusOr<MuxOpenResult>> MuxProducer::OpenStreams(
     StreamState& st = streams_[base + i];
     st.id = base + i;
     st.tp = tp;
-    st.credits = std::make_unique<sim::Semaphore>(
+    st.credits = std::make_shared<sim::Semaphore>(
         sim_, std::max<uint32_t>(1, res.credits));
     if (count == 1) st.acked = res.committed;
   }
@@ -218,7 +226,44 @@ sim::Co<StatusOr<MuxOpenResult>> MuxProducer::OpenStreams(
 }
 
 sim::Co<Status> MuxProducer::CloseStreams(uint32_t base, uint32_t count) {
-  for (uint32_t i = 0; i < count; i++) streams_.erase(base + i);
+  // The open streams with ids in [base, base + count).
+  auto range = [this, base, count] {
+    auto first = streams_.lower_bound(base);
+    auto last = first;
+    while (last != streams_.end() && last->first - base < count) ++last;
+    return std::pair{first, last};
+  };
+  // Refuse new records. Produces parked on a stream's credit window wake
+  // and return "stream closed" (their permits die with the semaphore), as
+  // do records still queued for a post. Records on the wire, and the one
+  // being posted, stay until the broker acks them.
+  auto [first, last] = range();
+  for (auto it = first; it != last; ++it) {
+    StreamState& st = it->second;
+    st.closing = true;
+    st.credits->Release(static_cast<int64_t>(st.credits->num_waiters()));
+    std::erase_if(st.pending, [this](const std::shared_ptr<Pending>& p) {
+      if (p->posted || p.get() == posting_) return false;
+      p->closed = true;
+      errors_++;
+      window_.Release();
+      p->done->Set();
+      return true;
+    });
+  }
+  // Wait for those acks, as Flush does: the broker forgets a closed
+  // stream's committed count, the anchor a reconnect resyncs against, so
+  // the close goes out only once the streams have drained.
+  for (;;) {
+    std::shared_ptr<Pending> wait_on;
+    std::tie(first, last) = range();
+    for (auto it = first; it != last && wait_on == nullptr; ++it) {
+      if (!it->second.pending.empty()) wait_on = it->second.pending.front();
+    }
+    if (wait_on == nullptr) break;
+    co_await wait_on->done->Wait();
+  }
+  streams_.erase(first, last);
   if (closed_ || disconnected_ || qp_ == nullptr) co_return Status::OK();
   CtrlMsg m;
   m.kind = CtrlKind::kMuxClose;
@@ -245,6 +290,12 @@ sim::Co<Status> MuxProducer::PostRecord(uint32_t stream,
     post_mu_->Unlock();
     co_return Status::Disconnected("endpoint closed");
   }
+  if (p->closed) {
+    // CloseStreams failed the record while it waited for the lock; its
+    // Produce learns that through `done`.
+    post_mu_->Unlock();
+    co_return Status::OK();
+  }
   if (disconnected_) {
     // Leave the record queued; the reconnect pass re-posts it. Kick one
     // off in case no pass is running (the failure may have hit while the
@@ -265,17 +316,20 @@ sim::Co<Status> MuxProducer::PostRecord(uint32_t stream,
     post_mu_->Unlock();
     co_return Status::FailedPrecondition("no grant for stream partition");
   }
+  posting_ = p.get();
   if (p->batch.size() > git->second.capacity - git->second.write_pos) {
     // Head file full: rotate via the control channel (§4.2.2); in-flight
     // pipelined writes end at the grant's write_pos.
     Status rot = co_await RequestAccess(tp, git->second.file_id,
                                         git->second.write_pos);
     if (!rot.ok()) {
+      posting_ = nullptr;
       post_mu_->Unlock();
       co_return rot;
     }
     git = grants_.find(tp);
     if (git == grants_.end()) {
+      posting_ = nullptr;
       post_mu_->Unlock();
       co_return Status::FailedPrecondition("grant lost during rotation");
     }
@@ -328,25 +382,42 @@ sim::Co<Status> MuxProducer::PostRecord(uint32_t stream,
   } else {
     OnTransportFailure();  // queued record rides the reconnect resend
   }
+  posting_ = nullptr;
   post_mu_->Unlock();
   co_return Status::OK();
+}
+
+MuxProducer::StreamState* MuxProducer::OpenStream(
+    uint32_t id, const sim::Semaphore* credits) {
+  auto it = streams_.find(id);
+  if (it == streams_.end() || it->second.closing) return nullptr;
+  if (credits != nullptr && it->second.credits.get() != credits) {
+    return nullptr;
+  }
+  return &it->second;
 }
 
 sim::Co<StatusOr<int64_t>> MuxProducer::Produce(uint32_t stream, Slice key,
                                                 Slice value) {
   if (closed_) co_return Status::Disconnected("endpoint closed");
-  if (streams_.find(stream) == streams_.end()) {
+  if (OpenStream(stream) == nullptr) {
     co_return Status::InvalidArgument("stream not open");
   }
   sim::TimeNs started_at = sim_.Now();
   co_await window_.Acquire();
-  auto it = streams_.find(stream);
-  if (it == streams_.end()) {
+  StreamState* st = OpenStream(stream);
+  if (st == nullptr) {
     window_.Release();
     co_return Status::InvalidArgument("stream closed");
   }
-  StreamState* st = &it->second;
-  co_await st->credits->Acquire();
+  // Held across the wait: CloseStreams wakes the waiters of a closing
+  // stream, and the stream (or a re-open of its id) is re-resolved after.
+  const std::shared_ptr<sim::Semaphore> credits = st->credits;
+  co_await credits->Acquire();
+  if (OpenStream(stream, credits.get()) == nullptr) {
+    window_.Release();
+    co_return Status::InvalidArgument("stream closed");
+  }
   const CostModel& cm = fabric_.cost();
   co_await sim::Delay(
       sim_,
@@ -360,18 +431,17 @@ sim::Co<StatusOr<int64_t>> MuxProducer::Produce(uint32_t stream, Slice key,
   pending->batch = builder.Build();
   pending->done = std::make_shared<sim::Event>(sim_);
   pending->sent_at = started_at;
-  // Re-resolve: the map may have rehashed conceptually, and the stream may
-  // have raced a close during the awaits above.
-  it = streams_.find(stream);
-  if (it == streams_.end()) {
+  // Re-resolve: the stream may have raced a close during the delay.
+  st = OpenStream(stream, credits.get());
+  if (st == nullptr) {
     window_.Release();
     co_return Status::InvalidArgument("stream closed");
   }
-  it->second.pending.push_back(pending);
+  st->pending.push_back(pending);
   Status posted = co_await PostRecord(stream, pending);
   if (!posted.ok()) {
     // Hard failure (closed / rotation denied): unwind this record.
-    it = streams_.find(stream);
+    auto it = streams_.find(stream);
     if (it != streams_.end()) std::erase(it->second.pending, pending);
     window_.Release();
     errors_++;
@@ -379,6 +449,7 @@ sim::Co<StatusOr<int64_t>> MuxProducer::Produce(uint32_t stream, Slice key,
   }
   co_await pending->done->Wait();
   co_await sim::Delay(sim_, cm.cpu.wakeup_ns);
+  if (pending->closed) co_return Status::InvalidArgument("stream closed");
   if (pending->ack.error != 0) {
     co_return Status::Aborted(
         std::string("mux produce failed: ") +
@@ -389,7 +460,7 @@ sim::Co<StatusOr<int64_t>> MuxProducer::Produce(uint32_t stream, Slice key,
 
 void MuxProducer::HandleAck(const CtrlMsg& msg) {
   auto it = streams_.find(msg.stream);
-  if (it == streams_.end()) return;  // stream closed while the ack flew
+  if (it == streams_.end()) return;  // no record of it left to resolve
   StreamState& st = it->second;
   if (st.pending.empty()) return;
   // Per-stream FIFO: RC in-order delivery + the broker's in-order commit

@@ -81,7 +81,11 @@ class MuxProducer {
   /// AddPartition first).
   sim::Co<StatusOr<MuxOpenResult>> OpenStreams(
       uint32_t base, uint32_t count, const kafka::TopicPartitionId& tp);
-  /// Closes `count` contiguous streams (fire-and-forget; flush first).
+  /// Closes `count` contiguous streams. Produces still waiting on a
+  /// stream's credit window, or with a record not yet posted, return
+  /// "stream closed"; records already on the wire complete with the
+  /// broker's ack, which CloseStreams waits for, as Flush does, before
+  /// the broker-side close goes out (after a Flush there is none).
   sim::Co<Status> CloseStreams(uint32_t base, uint32_t count);
 
   /// Synchronous produce on one logical stream.
@@ -111,6 +115,7 @@ class MuxProducer {
     std::shared_ptr<sim::Event> done;
     CtrlMsg ack;
     bool posted = false;          // false once the QP died before the post
+    bool closed = false;          // failed by CloseStreams before its post
   };
 
   /// Client-side state of one partition's exclusive head-file grant.
@@ -127,10 +132,13 @@ class MuxProducer {
   struct StreamState {
     uint32_t id = 0;
     kafka::TopicPartitionId tp;  // partition this stream produces to
-    std::unique_ptr<sim::Semaphore> credits;
+    /// Shared with the produces parked on it, so no close destroys it
+    /// under them; its identity tells a stream from a later re-open.
+    std::shared_ptr<sim::Semaphore> credits;
     std::deque<std::shared_ptr<Pending>> pending;  // FIFO, acks match front
     uint64_t acked = 0;  // records resolved (acks + resync), mirrors the
                          // broker's committed count when drained
+    bool closing = false;  // CloseStreams waits for its posted records
   };
 
   /// Builds the transport: CQs, QP, CM exchange, ack receives, loops.
@@ -147,6 +155,10 @@ class MuxProducer {
   sim::Co<Status> Reconnect();
   /// Position assignment + Write/Send post for one record of `stream`.
   sim::Co<Status> PostRecord(uint32_t stream, std::shared_ptr<Pending> p);
+  /// Stream `id` if it is open and not closing, and, given `credits`, is
+  /// still the incarnation that semaphore belongs to; else nullptr.
+  StreamState* OpenStream(uint32_t id,
+                          const sim::Semaphore* credits = nullptr);
   sim::Co<void> RecvAckLoop(std::shared_ptr<bool> alive,
                             std::shared_ptr<rdma::CompletionQueue> cq);
   sim::Co<void> SendCqDrainer(std::shared_ptr<bool> alive,
@@ -182,6 +194,9 @@ class MuxProducer {
 
   sim::Semaphore window_;
   std::unique_ptr<sim::AsyncMutex> post_mu_;   // keeps posts in order
+  /// The record PostRecord is posting under post_mu_: a close leaves it
+  /// to complete with its ack.
+  const Pending* posting_ = nullptr;
   std::unique_ptr<sim::AsyncMutex> ctrl_mu_;   // one access request at a time
   std::unique_ptr<sim::AsyncMutex> reconnect_mu_;
 
