@@ -58,6 +58,14 @@ class KdClusterTest : public ::testing::Test {
     ASSERT_TRUE(*done) << "simulation deadline reached";
   }
 
+  /// §14 teardown: closes broker-side state and drains the woken frames,
+  /// so a test that calls it (after closing its clients) is leak-clean
+  /// under ASan.
+  void DrainShutdown() {
+    cluster_->Shutdown();
+    sim_.RunFor(Seconds(2));
+  }
+
   sim::Simulator sim_;
   CostModel cost_;
   std::unique_ptr<net::Fabric> fabric_;
