@@ -41,7 +41,6 @@ Row ConsumePoint(bool ring) {
   harness::DeploymentConfig deploy;
   deploy.broker.rdma_produce = true;
   deploy.broker.rdma_consume = true;
-  deploy.broker.rdma_ring_consume = ring;
   harness::TestCluster cluster(deploy);
   harness::ConsumeOptions options;
   options.preload_records = 400;

@@ -170,8 +170,7 @@ void BM_SimulatorDispatchFlight(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorDispatchFlight)->ArgName("every")->Arg(8)->Arg(0);
 
-sim::Co<void> PingPong(sim::Simulator& sim, sim::Channel<int>& a,
-                       sim::Channel<int>& b, int n) {
+sim::Co<void> PingPong(sim::Channel<int>& a, sim::Channel<int>& b, int n) {
   for (int i = 0; i < n; i++) {
     a.Push(i);
     (void)co_await b.Pop();
@@ -189,7 +188,7 @@ void BM_CoroutineChannelPingPong(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator sim;
     sim::Channel<int> a(sim), b(sim);
-    sim::Spawn(sim, PingPong(sim, a, b, 512));
+    sim::Spawn(sim, PingPong(a, b, 512));
     sim::Spawn(sim, Echo(a, b, 512));
     sim.Run();
   }

@@ -77,11 +77,8 @@ sim::Co<void> GhostClaim(harness::TestCluster* cluster,
   req.tp = tp;
   req.exclusive = false;
   req.broker_qp = broker_qp.value()->qp_num();
-  KD_CHECK_OK(co_await ctrl->Send(Encode(req), false));
-  auto frame = co_await ctrl->Recv();
-  KD_CHECK(frame.ok());
   kafka::RdmaProduceAccessResponse resp;
-  KD_CHECK_OK(kafka::Decode(Slice(frame.value()), &resp));
+  KD_CHECK_OK(co_await kd::Call(*ctrl, req, &resp));
   KD_CHECK(resp.error == kafka::ErrorCode::kNone);
 
   // Claim 64 bytes of the file... and never write them.
@@ -149,7 +146,6 @@ sim::Co<void> SharedHoleTimeout(harness::TestCluster* cluster, bool* done) {
 int main() {
   harness::DeploymentConfig deploy;
   deploy.broker.rdma_produce = true;
-  deploy.broker.shared_produce_hole_timeout = Millis(2);
   harness::TestCluster cluster(deploy);
   KD_CHECK_OK(cluster.CreateTopic("orders", 1, 1));
   KD_CHECK_OK(cluster.CreateTopic("shared", 1, 1));

@@ -1,13 +1,19 @@
-// KafkaDirect in-band RDMA control plane:
+// KafkaDirect control plane:
 //  - the 32-bit immediate-data layout of Fig. 4 ({order, file id});
 //  - the 64-bit shared-produce atomic word of Fig. 5 ({order, offset});
 //  - the small RDMA Send control messages (produce acks, replication
-//    credits, HWM updates) that ride on already-established QPs.
+//    credits, HWM updates) that ride on already-established QPs;
+//  - the TCP control-channel round trip every grant request takes.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "common/byte_order.h"
+#include "kafka/protocol.h"
+#include "net/message_stream.h"
+#include "rdma/queue_pair.h"
 
 namespace kafkadirect {
 namespace kd {
@@ -89,6 +95,48 @@ struct CtrlMsg {
     return m;
   }
 };
+
+/// `msg` as an unsignaled inline Send (IBV_SEND_INLINE): the 24 bytes
+/// travel inside the work request, so no send buffer has to outlive the
+/// post and nothing is allocated per message.
+inline rdma::WorkRequest CtrlSendWr(const CtrlMsg& msg) {
+  rdma::WorkRequest wr;
+  wr.opcode = rdma::Opcode::kSend;
+  wr.signaled = false;
+  wr.send_inline = true;
+  static_assert(kCtrlMsgSize <= rdma::WorkRequest::kMaxInlineData);
+  msg.EncodeTo(wr.inline_data);
+  wr.length = kCtrlMsgSize;
+  return wr;
+}
+
+/// Receives a producer keeps posted for the broker's acks and grants.
+constexpr int kAckRecvDepth = 512;
+
+/// Posts kAckRecvDepth ctrl-message receives on `qp` as one postlist (one
+/// doorbell), each into a fresh buffer of `bufs` (wr_id = buffer index).
+inline Status PostAckRecvs(rdma::QueuePair& qp,
+                           std::vector<std::vector<uint8_t>>* bufs) {
+  bufs->assign(kAckRecvDepth, std::vector<uint8_t>(kCtrlMsgSize));
+  std::vector<rdma::RecvRequest> recvs(kAckRecvDepth);
+  for (int i = 0; i < kAckRecvDepth; i++) {
+    recvs[i].wr_id = static_cast<uint64_t>(i);
+    recvs[i].buf = (*bufs)[i].data();
+    recvs[i].len = kCtrlMsgSize;
+  }
+  return qp.PostRecv(std::span<const rdma::RecvRequest>(recvs));
+}
+
+/// One control-channel round trip: sends `req` and decodes the reply into
+/// `resp`. Fails on a transport or decode error; `resp->error` is left to
+/// the caller. Pass a named local as `req` (DESIGN.md §6).
+template <typename Req, typename Resp>
+sim::Co<Status> Call(net::MessageStream& ctrl, const Req& req, Resp* resp) {
+  KD_CO_RETURN_IF_ERROR(co_await ctrl.Send(kafka::Encode(req), false));
+  auto frame = co_await ctrl.Recv();
+  if (!frame.ok()) co_return frame.status();
+  co_return kafka::Decode(Slice(frame.value()), resp);
+}
 
 }  // namespace kd
 }  // namespace kafkadirect

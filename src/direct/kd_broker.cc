@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "common/logging.h"
 #include "kafka/record.h"
@@ -16,6 +17,10 @@ using kafka::TopicPartitionId;
 
 /// Ctrl-message receives posted per accepted QP (without the SRQ).
 constexpr int kCtrlRecvsPerQp = 256;
+
+/// Shared RDMA produce: how long request i waits for request i-1 before
+/// the broker aborts the file and revokes access (§4.2.2).
+constexpr sim::TimeNs kSharedProduceHoleTimeout = 5 * 1000 * 1000;  // 5 ms
 
 /// Cap on a follower's replication credit window, so a fast leader can
 /// never overrun a slow follower's ctrl receives. Each uncredited write
@@ -36,6 +41,47 @@ constexpr sim::TimeNs kAdmissionRetryAfterNs = 1 * 1000 * 1000;  // 1 ms
 /// §14: consumer-session slab pool size when metadata_arena is on. Full
 /// pool -> graceful fallback to a per-session registration.
 constexpr uint32_t kSessionArenaSlots = 256;
+
+namespace {
+
+/// Where a consume grant from `offset` starts: the segment holding it (the
+/// head segment at the log end) and the byte position there.
+struct ConsumeStart {
+  int seg_index = 0;
+  uint64_t pos = 0;
+};
+
+/// nullopt when `offset` lies outside the log.
+std::optional<ConsumeStart> FindConsumeStart(const kafka::PartitionLog& log,
+                                             int64_t offset) {
+  if (offset < 0 || offset > log.log_end_offset()) return std::nullopt;
+  const int seg_index = offset == log.log_end_offset()
+                            ? static_cast<int>(log.segments().size()) - 1
+                            : log.SegmentIndexFor(offset);
+  if (seg_index < 0) return std::nullopt;
+  const kafka::Segment& seg = *log.segments()[seg_index];
+  if (offset >= seg.next_offset()) return ConsumeStart{seg_index, seg.size()};
+  auto pos = seg.PositionOf(offset);
+  return ConsumeStart{seg_index, pos.ok() ? pos.value() : seg.size()};
+}
+
+/// Opportunistic batching (§4.3.2): folds the queued writes that continue
+/// `entry` in the same segment into it, up to `max_bytes`. Never waits.
+void MergeQueued(sim::Channel<ReplEntry>& queue, ReplEntry* entry,
+                 uint64_t max_bytes) {
+  while (entry->len < max_bytes) {
+    const ReplEntry* next = queue.PeekFront();
+    if (next == nullptr || next->seg != entry->seg ||
+        next->pos != entry->pos + entry->len ||
+        entry->len + next->len > max_bytes) {
+      break;
+    }
+    entry->len += next->len;
+    (void)queue.TryPop();
+  }
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // ConsumerSession / metadata slots
@@ -228,30 +274,12 @@ sim::Co<StatusOr<int64_t>> KafkaDirectBroker::CommitBatch(
     kafka::Segment* seg = ps->log.segments()[fs->seg_index].get();
     if (pos + batch.size() > seg->capacity()) {
       // The file overflowed under us; retire it, roll, and retry on the
-      // fresh head file. Writers with in-range claims finish first.
-      uint64_t target = std::min<uint64_t>(pos, seg->capacity());
-      uint64_t last_progress = fs->next_commit_pos;
-      int stalls = 0;
-      while (!fs->aborted &&
-             (fs->next_commit_pos < target || !fs->pending.empty())) {
-        (void)co_await fs->commit_event->WaitFor(
-            config_.shared_produce_hole_timeout);
-        if (fs->next_commit_pos == last_progress) {
-          if (++stalls >= 2) {
-            AbortFile(fs, ErrorCode::kTimedOut);
-            break;
-          }
-        } else {
-          last_progress = fs->next_commit_pos;
-          stalls = 0;
-        }
-      }
-      if (!fs->aborted) {
-        AbortFile(fs, ErrorCode::kNone);
-        co_await ps->append_mu.Lock();
-        ps->log.Roll();
-        ps->append_mu.Unlock();
-        OnRolled(*ps);
+      // fresh head file. A file aborted on a stall is not rolled: the
+      // retry then takes the TCP path.
+      const bool drained = co_await SealForRotation(
+          fs, std::min<uint64_t>(pos, seg->capacity()));
+      if (drained) {
+        co_await RollHead(*ps);
         CreateFileState(*ps, /*shared=*/true, /*replica=*/false);
       }
       continue;
@@ -266,8 +294,8 @@ sim::Co<StatusOr<int64_t>> KafkaDirectBroker::CommitBatch(
     co_await CommitRdmaWrite(fs, order, batch_len, /*qp_num=*/0,
                              /*stream=*/0);
     while (!fs->aborted && !OrderCommitted(fs, order)) {
-      (void)co_await fs->commit_event->WaitFor(
-          config_.shared_produce_hole_timeout * 4);
+      (void)co_await fs->commit_event->WaitFor(kSharedProduceHoleTimeout *
+                                               4);
     }
     if (fs->aborted && !OrderCommitted(fs, order)) {
       co_return Status::Aborted("shared produce aborted");
@@ -275,6 +303,38 @@ sim::Co<StatusOr<int64_t>> KafkaDirectBroker::CommitBatch(
     co_return kafka::GetBaseOffset(seg->data() + pos);
   }
   co_return Status::ResourceExhausted("shared produce: rotation livelock");
+}
+
+sim::Co<bool> KafkaDirectBroker::SealForRotation(RdmaFileState* fs,
+                                                 uint64_t target) {
+  // Claims below `target` commit first. A writer that claimed a region and
+  // then stalls is fenced like any other hole (§4.2.2): two hole timeouts
+  // without progress abort the file.
+  uint64_t last_progress = fs->next_commit_pos;
+  int stalls = 0;
+  while (!fs->aborted &&
+         (fs->next_commit_pos < target || !fs->pending.empty())) {
+    (void)co_await fs->commit_event->WaitFor(kSharedProduceHoleTimeout);
+    if (fs->next_commit_pos == last_progress) {
+      if (++stalls >= 2) {
+        AbortFile(fs, ErrorCode::kTimedOut);
+        break;
+      }
+    } else {
+      last_progress = fs->next_commit_pos;
+      stalls = 0;
+    }
+  }
+  const bool drained = !fs->aborted;
+  AbortFile(fs, ErrorCode::kNone);  // retire the old grant
+  co_return drained;
+}
+
+sim::Co<void> KafkaDirectBroker::RollHead(PartitionState& ps) {
+  co_await ps.append_mu.Lock();
+  ps.log.Roll();
+  ps.append_mu.Unlock();
+  OnRolled(ps);
 }
 
 sim::Co<StatusOr<std::shared_ptr<rdma::QueuePair>>>
@@ -378,17 +438,7 @@ sim::Co<void> KafkaDirectBroker::WatchQpFailure(
 void KafkaDirectBroker::SendCtrl(uint32_t qp_num, const CtrlMsg& msg) {
   auto it = rdma_qps_.find(qp_num);
   if (it == rdma_qps_.end()) return;
-  // IBV_SEND_INLINE: the 24-byte control message travels inside the work
-  // request, so no send buffer has to outlive the (unsignaled) send and
-  // nothing is allocated per ack.
-  rdma::WorkRequest wr;
-  wr.opcode = rdma::Opcode::kSend;
-  wr.signaled = false;
-  wr.send_inline = true;
-  static_assert(kCtrlMsgSize <= rdma::WorkRequest::kMaxInlineData);
-  msg.EncodeTo(wr.inline_data);
-  wr.length = kCtrlMsgSize;
-  (void)it->second->PostSend(wr);
+  (void)it->second->PostSend(CtrlSendWr(msg));
   rdma_acks_sent_++;
   kd_obs_.ctrl_msgs->Increment();
 }
@@ -418,24 +468,14 @@ void KafkaDirectBroker::HandleRdmaCompletion(const rdma::WorkCompletion& wc) {
   if (!wc.ok()) return;  // QP failure handled by watchers
   if (conn_cache_ != nullptr) conn_cache_->Touch(wc.qp_num);
   if (wc.opcode == rdma::Opcode::kRecvWithImm) {
-    uint16_t file_id = ImmFileId(wc.imm_data);
-    uint16_t order = ImmOrder(wc.imm_data);
-    auto it = rdma_files_.find(file_id);
-    if (it != rdma_files_.end() && !it->second->shared &&
-        !it->second->replica) {
-      // Exclusive mode: the produce module assigns arrival order so the
-      // request queue's multi-worker processing stays sequential per
-      // file (§4.2.2 in-order completion processing).
-      order = it->second->arrival_seq++;
-    }
     // Re-post the consumed receive.
     RepostCtrlRecv(wc);
     Request req;
-    req.file_id = file_id;
-    req.order = order;
+    req.file_id = ImmFileId(wc.imm_data);
+    req.order = ImmOrder(wc.imm_data);
     req.byte_len = wc.byte_len;
     req.qp_num = wc.qp_num;
-    EnqueueRequest(std::move(req));  // step 2 in Fig. 2
+    EnqueueProduceArrival(std::move(req));
   } else if (wc.opcode == rdma::Opcode::kRecv) {
     uint8_t* buf = CtrlRecvBuf(wc);
     if (buf == nullptr) return;  // QP torn down; buffers already recycled
@@ -444,16 +484,9 @@ void KafkaDirectBroker::HandleRdmaCompletion(const rdma::WorkCompletion& wc) {
     if (msg.kind == CtrlKind::kProduceNotify) {
       // Write+Send notification (§4.2.2): the Send is ordered behind the
       // data write, so the records are already in the file.
-      uint16_t file_id = static_cast<uint16_t>(msg.aux);
-      uint16_t order = msg.order;
-      auto fit = rdma_files_.find(file_id);
-      if (fit != rdma_files_.end() && !fit->second->shared &&
-          !fit->second->replica) {
-        order = fit->second->arrival_seq++;
-      }
       Request produce_req;
-      produce_req.file_id = file_id;
-      produce_req.order = order;
+      produce_req.file_id = static_cast<uint16_t>(msg.aux);
+      produce_req.order = msg.order;
       produce_req.byte_len = static_cast<uint32_t>(msg.value);
       produce_req.qp_num = wc.qp_num;
       produce_req.stream = msg.stream;
@@ -464,7 +497,7 @@ void KafkaDirectBroker::HandleRdmaCompletion(const rdma::WorkCompletion& wc) {
         rdma::MuxStream* s = mux_->Find(msg.stream);
         if (s != nullptr) (void)mux_->ConsumeCredit(s);
       }
-      EnqueueRequest(std::move(produce_req));
+      EnqueueProduceArrival(std::move(produce_req));
     } else if (msg.kind == CtrlKind::kMuxOpen) {
       HandleMuxOpen(msg, wc.qp_num);
     } else if (msg.kind == CtrlKind::kMuxClose) {
@@ -484,6 +517,18 @@ void KafkaDirectBroker::HandleRdmaCompletion(const rdma::WorkCompletion& wc) {
   }
 }
 
+void KafkaDirectBroker::EnqueueProduceArrival(Request req) {
+  auto it = rdma_files_.find(req.file_id);
+  if (it != rdma_files_.end() && !it->second->shared &&
+      !it->second->replica) {
+    // Exclusive mode: the produce module assigns arrival order so the
+    // request queue's multi-worker processing stays sequential per file
+    // (§4.2.2 in-order completion processing).
+    req.order = it->second->arrival_seq++;
+  }
+  EnqueueRequest(std::move(req));  // step 2 in Fig. 2
+}
+
 // ---------------------------------------------------------------------------
 // Request dispatch
 // ---------------------------------------------------------------------------
@@ -493,6 +538,20 @@ KdPartitionExt* KafkaDirectBroker::Ext(PartitionState& ps) {
   return static_cast<KdPartitionExt*>(ps.ext.get());
 }
 
+template <typename Req, typename Resp>
+sim::Co<void> KafkaDirectBroker::Serve(
+    Request req, sim::Co<Resp> (KafkaDirectBroker::*handler)(
+                     const Req&, const net::MessageStreamPtr&)) {
+  Req areq;
+  Resp resp;
+  if (kafka::Decode(Slice(req.frame), &areq).ok()) {
+    resp = co_await (this->*handler)(areq, req.conn);
+  } else {
+    resp.error = ErrorCode::kInvalidRequest;
+  }
+  SendResponse(req.conn, Encode(resp));
+}
+
 sim::Co<void> KafkaDirectBroker::HandleExtendedRequest(Request req) {
   if (req.conn == nullptr) {
     co_await HandleRdmaProduceArrival(std::move(req));
@@ -500,22 +559,23 @@ sim::Co<void> KafkaDirectBroker::HandleExtendedRequest(Request req) {
   }
   switch (kafka::PeekType(Slice(req.frame))) {
     case kafka::MsgType::kRdmaProduceAccessRequest:
-      co_await HandleProduceAccess(std::move(req));
+      co_await Serve(std::move(req), &KafkaDirectBroker::HandleProduceAccess);
       break;
     case kafka::MsgType::kRdmaConsumeAccessRequest:
-      co_await HandleConsumeAccess(std::move(req));
+      co_await Serve(std::move(req), &KafkaDirectBroker::HandleConsumeAccess);
       break;
     case kafka::MsgType::kRdmaRingConsumeAccessRequest:
-      co_await HandleRingConsumeAccess(std::move(req));
+      co_await Serve(std::move(req),
+                     &KafkaDirectBroker::HandleRingConsumeAccess);
       break;
     case kafka::MsgType::kRdmaUnregisterRequest:
-      co_await HandleUnregister(std::move(req));
+      co_await Serve(std::move(req), &KafkaDirectBroker::HandleUnregister);
       break;
     case kafka::MsgType::kReplicaRdmaAccessRequest:
-      co_await HandleReplicaAccess(std::move(req));
+      co_await Serve(std::move(req), &KafkaDirectBroker::HandleReplicaAccess);
       break;
     case kafka::MsgType::kRdmaCommitAccessRequest:
-      co_await HandleCommitAccess(std::move(req));
+      co_await Serve(std::move(req), &KafkaDirectBroker::HandleCommitAccess);
       break;
     default:
       co_await Broker::HandleExtendedRequest(std::move(req));
@@ -565,14 +625,7 @@ void KafkaDirectBroker::AbortFile(RdmaFileState* fs, ErrorCode error) {
   if (fs->mr != nullptr) (void)rnic_.DeregisterMemory(fs->mr);
   if (fs->atomic_mr != nullptr) (void)rnic_.DeregisterMemory(fs->atomic_mr);
   for (auto& [order, pending] : fs->pending) {
-    if (pending.qp_num != 0) {
-      CtrlMsg msg;
-      msg.kind = CtrlKind::kProduceAck;
-      msg.order = order;
-      msg.error = static_cast<uint16_t>(error);
-      msg.stream = pending.stream;
-      SendCtrl(pending.qp_num, msg);
-    }
+    SendProduceAck(pending.qp_num, order, pending.stream, error);
   }
   fs->pending.clear();
   fs->commit_event->Pulse();
@@ -580,59 +633,24 @@ void KafkaDirectBroker::AbortFile(RdmaFileState* fs, ErrorCode error) {
   if (ext->produce_file == fs) ext->produce_file = nullptr;
 }
 
-sim::Co<void> KafkaDirectBroker::HandleProduceAccess(Request req) {
-  kafka::RdmaProduceAccessRequest areq;
-  kafka::RdmaProduceAccessResponse resp;
-  if (!kafka::Decode(Slice(req.frame), &areq).ok()) {
-    resp.error = ErrorCode::kInvalidRequest;
-    SendResponse(req.conn, Encode(resp));
-    co_return;
-  }
+sim::Co<kafka::RdmaProduceAccessResponse>
+KafkaDirectBroker::HandleProduceAccess(
+    const kafka::RdmaProduceAccessRequest& areq,
+    const net::MessageStreamPtr& /*conn*/) {
   PartitionState* ps = GetPartition(areq.tp);
-  if (ps == nullptr) {
-    resp.error = ErrorCode::kUnknownTopicOrPartition;
-    SendResponse(req.conn, Encode(resp));
-    co_return;
-  }
-  if (!ps->is_leader || !config_.rdma_produce) {
-    resp.error = config_.rdma_produce ? ErrorCode::kNotLeader
-                                      : ErrorCode::kRdmaAccessDenied;
-    SendResponse(req.conn, Encode(resp));
-    co_return;
-  }
-  KdPartitionExt* ext = Ext(*ps);
-  RdmaFileState* fs = ext->produce_file;
+  if (ps == nullptr) co_return {ErrorCode::kUnknownTopicOrPartition};
+  if (!config_.rdma_produce) co_return {ErrorCode::kRdmaAccessDenied};
+  if (!ps->is_leader) co_return {ErrorCode::kNotLeader};
+  RdmaFileState* fs = Ext(*ps)->produce_file;
 
   if (areq.stale_file_id != 0 && fs != nullptr &&
       fs->file_id == areq.stale_file_id && !fs->aborted) {
-    // Head-file rotation: wait for claims already reserved inside the old
-    // file to commit (up to the requester's observed end of in-range
-    // claims), then seal and roll. A writer that claimed a region and then
-    // stalls is eventually fenced like any other hole (§4.2.2).
-    uint64_t target = std::min<uint64_t>(areq.rotate_target,
-                                         ps->log.head().capacity());
-    uint64_t last_progress = fs->next_commit_pos;
-    int stalls = 0;
-    while (!fs->aborted &&
-           (fs->next_commit_pos < target || !fs->pending.empty())) {
-      (void)co_await fs->commit_event->WaitFor(
-          config_.shared_produce_hole_timeout);
-      if (fs->next_commit_pos == last_progress) {
-        if (++stalls >= 2) {
-          AbortFile(fs, ErrorCode::kTimedOut);
-          break;
-        }
-      } else {
-        last_progress = fs->next_commit_pos;
-        stalls = 0;
-      }
-    }
-    bool was_shared = fs->shared;
-    AbortFile(fs, ErrorCode::kNone);  // retire the old grant
-    co_await ps->append_mu.Lock();
-    ps->log.Roll();
-    ps->append_mu.Unlock();
-    OnRolled(*ps);
+    // Head-file rotation: seal the old file once the claims the requester
+    // saw end in it have committed, then roll.
+    const bool was_shared = fs->shared;
+    co_await SealForRotation(
+        fs, std::min<uint64_t>(areq.rotate_target, ps->log.head().capacity()));
+    co_await RollHead(*ps);
     fs = CreateFileState(*ps, was_shared, /*replica=*/false);
     fs->owner_qp = areq.broker_qp;
   } else if (fs == nullptr || fs->aborted) {
@@ -645,13 +663,11 @@ sim::Co<void> KafkaDirectBroker::HandleProduceAccess(Request req) {
     if (areq.exclusive || !fs->shared) {
       // The broker never grants exclusive access to the same file to two
       // producers (§4.2.2), and never mixes modes.
-      resp.error = ErrorCode::kRdmaAccessDenied;
-      SendResponse(req.conn, Encode(resp));
-      co_return;
+      co_return {ErrorCode::kRdmaAccessDenied};
     }
   }
 
-  resp.error = ErrorCode::kNone;
+  kafka::RdmaProduceAccessResponse resp;
   resp.file_id = fs->file_id;
   resp.addr = fs->mr->addr();
   resp.rkey = fs->mr->rkey();
@@ -662,7 +678,7 @@ sim::Co<void> KafkaDirectBroker::HandleProduceAccess(Request req) {
     resp.atomic_addr = fs->atomic_mr->addr();
     resp.atomic_rkey = fs->atomic_mr->rkey();
   }
-  SendResponse(req.conn, Encode(resp));
+  co_return resp;
 }
 
 sim::Co<void> KafkaDirectBroker::HandleRdmaProduceArrival(Request req) {
@@ -678,14 +694,7 @@ sim::Co<void> KafkaDirectBroker::CommitRdmaWrite(RdmaFileState* fs,
                                                  uint32_t qp_num,
                                                  uint32_t stream) {
   if (fs->aborted) {
-    if (qp_num != 0) {
-      CtrlMsg msg;
-      msg.kind = CtrlKind::kProduceAck;
-      msg.order = order;
-      msg.error = static_cast<uint16_t>(ErrorCode::kRdmaAccessDenied);
-      msg.stream = stream;
-      SendCtrl(qp_num, msg);
-    }
+    SendProduceAck(qp_num, order, stream, ErrorCode::kRdmaAccessDenied);
     co_return;
   }
   if (config_.control_plane && !fs->replica &&
@@ -693,14 +702,7 @@ sim::Co<void> KafkaDirectBroker::CommitRdmaWrite(RdmaFileState* fs,
     // Leader-epoch fence on the zero-copy path (§15): the partition moved
     // (or this broker was demoted) after the grant; nothing from the stale
     // grant may commit — the producer must re-request at the new leader.
-    if (qp_num != 0) {
-      CtrlMsg msg;
-      msg.kind = CtrlKind::kProduceAck;
-      msg.order = order;
-      msg.error = static_cast<uint16_t>(ErrorCode::kFencedLeaderEpoch);
-      msg.stream = stream;
-      SendCtrl(qp_num, msg);
-    }
+    SendProduceAck(qp_num, order, stream, ErrorCode::kFencedLeaderEpoch);
     AbortFile(fs, ErrorCode::kFencedLeaderEpoch);
     co_return;
   }
@@ -761,14 +763,8 @@ sim::Co<void> KafkaDirectBroker::CommitRdmaWrite(RdmaFileState* fs,
     if (!valid) {
       // Integrity failure: abort and revoke (the producer must re-request
       // access, §4.2.2).
-      if (cur_qp != 0) {
-        CtrlMsg msg;
-        msg.kind = CtrlKind::kProduceAck;
-        msg.order = cur_order;
-        msg.error = static_cast<uint16_t>(ErrorCode::kCorruptMessage);
-        msg.stream = cur_stream;
-        SendCtrl(cur_qp, msg);
-      }
+      SendProduceAck(cur_qp, cur_order, cur_stream,
+                     ErrorCode::kCorruptMessage);
       AbortFile(fs, ErrorCode::kRdmaAccessDenied);
       co_return;
     }
@@ -836,12 +832,8 @@ sim::Co<void> KafkaDirectBroker::CommitRdmaWrite(RdmaFileState* fs,
         }
         int64_t required = base + count;
         if (ps->log.high_watermark() >= required) {
-          CtrlMsg msg;
-          msg.kind = CtrlKind::kProduceAck;
-          msg.order = cur_order;
-          msg.value = base;
-          msg.stream = cur_stream;
-          SendCtrl(cur_qp, msg);
+          SendProduceAck(cur_qp, cur_order, cur_stream, ErrorCode::kNone,
+                         base);
         } else {
           sim::Spawn(sim_, AckWhenCommitted(ps, cur_qp, cur_order, base,
                                             required, cur_stream));
@@ -868,19 +860,23 @@ sim::Co<void> KafkaDirectBroker::AckWhenCommitted(PartitionState* ps,
   while (ps->log.high_watermark() < required) {
     bool fired =
         co_await ps->hwm_advanced.WaitFor(30ll * 1000 * 1000 * 1000);
+    if (shut_down_) co_return;  // dead broker: its QPs are gone anyway
     if (!fired && ps->log.high_watermark() < required) {
-      CtrlMsg msg;
-      msg.kind = CtrlKind::kProduceAck;
-      msg.order = order;
-      msg.error = static_cast<uint16_t>(ErrorCode::kTimedOut);
-      msg.stream = stream;
-      SendCtrl(qp_num, msg);
+      SendProduceAck(qp_num, order, stream, ErrorCode::kTimedOut);
       co_return;
     }
   }
+  SendProduceAck(qp_num, order, stream, ErrorCode::kNone, base);
+}
+
+void KafkaDirectBroker::SendProduceAck(uint32_t qp_num, uint16_t order,
+                                       uint32_t stream, ErrorCode error,
+                                       int64_t base) {
+  if (qp_num == 0) return;  // a TCP writer: CommitBatch answers it
   CtrlMsg msg;
   msg.kind = CtrlKind::kProduceAck;
   msg.order = order;
+  msg.error = static_cast<uint16_t>(error);
   msg.value = base;
   msg.stream = stream;
   SendCtrl(qp_num, msg);
@@ -888,7 +884,7 @@ sim::Co<void> KafkaDirectBroker::AckWhenCommitted(PartitionState* ps,
 
 sim::Co<void> KafkaDirectBroker::HoleWatchdog(RdmaFileState* fs,
                                               uint16_t expected) {
-  co_await sim::Delay(sim_, config_.shared_produce_hole_timeout);
+  co_await sim::Delay(sim_, kSharedProduceHoleTimeout);
   fs->hole_watch_armed = false;
   if (fs->aborted) co_return;
   if (fs->pending.empty()) co_return;
@@ -929,16 +925,12 @@ void KafkaDirectBroker::StartPushReplication(
 }
 
 sim::Co<Status> KafkaDirectBroker::PushHandshake(PushSession* session,
-                                                 PartitionState* ps,
                                                  uint16_t stale_file_id) {
   kafka::ReplicaRdmaAccessRequest req;
   req.tp = session->tp;
   req.stale_file_id = stale_file_id;
-  KD_CO_RETURN_IF_ERROR(co_await session->ctrl->Send(Encode(req), false));
-  auto frame = co_await session->ctrl->Recv();
-  if (!frame.ok()) co_return frame.status();
   kafka::ReplicaRdmaAccessResponse resp;
-  KD_CO_RETURN_IF_ERROR(kafka::Decode(Slice(frame.value()), &resp));
+  KD_CO_RETURN_IF_ERROR(co_await Call(*session->ctrl, req, &resp));
   if (resp.error != ErrorCode::kNone) {
     co_return Status::Internal("replica access denied");
   }
@@ -950,7 +942,6 @@ sim::Co<Status> KafkaDirectBroker::PushHandshake(PushSession* session,
   if (session->credits == nullptr) {
     session->credits = std::make_unique<sim::Semaphore>(sim_, resp.credits);
   }
-  (void)ps;
   co_return Status::OK();
 }
 
@@ -984,7 +975,7 @@ sim::Co<void> KafkaDirectBroker::PushReplicatorLoop(
   if (!accepted.ok()) co_return;
   // Receive buffers for credit-return messages (no-op when SRQ-attached).
   PostCtrlRecvs(s->qp, 512);
-  Status hs = co_await PushHandshake(s, ps, 0);
+  Status hs = co_await PushHandshake(s, 0);
   if (!hs.ok()) co_return;
   s->seg_index = static_cast<int>(ps->log.segments().size()) - 1;
   sim::Spawn(sim_, PushCreditDrainer(s, ps));
@@ -994,38 +985,17 @@ sim::Co<void> KafkaDirectBroker::PushReplicatorLoop(
     auto entry_opt = co_await s->queue->Pop();
     if (!entry_opt.has_value()) co_return;
     ReplEntry entry = *entry_opt;
-    // Opportunistic batching: merge immediately-available contiguous
-    // writes into one RDMA Write, up to the configured batch size. The
-    // replicator never waits for more data (§4.3.2).
-    while (entry.len < config_.replication_max_batch_bytes) {
-      const ReplEntry* next = s->queue->PeekFront();
-      if (next == nullptr || next->seg != entry.seg ||
-          next->pos != entry.pos + entry.len ||
-          entry.len + next->len > config_.replication_max_batch_bytes) {
-        break;
-      }
-      entry.len += next->len;
-      (void)s->queue->TryPop();
-    }
+    MergeQueued(*s->queue, &entry, config_.replication_max_batch_bytes);
     if (entry.seg != s->seg_index) {
       // The leader rolled its head file; roll the replica too.
-      Status rot = co_await PushHandshake(s, ps, s->file_id);
+      Status rot = co_await PushHandshake(s, s->file_id);
       if (!rot.ok()) co_return;
       s->seg_index = entry.seg;
     }
     // Per-write CPU on the replication worker; while it is busy, more
-    // contiguous entries queue up and get merged next round (§4.3.2).
+    // contiguous entries queue up and are merged too (§4.3.2).
     co_await sim::Delay(sim_, cost().kafka.replication_post_ns);
-    while (entry.len < config_.replication_max_batch_bytes) {
-      const ReplEntry* more = s->queue->PeekFront();
-      if (more == nullptr || more->seg != entry.seg ||
-          more->pos != entry.pos + entry.len ||
-          entry.len + more->len > config_.replication_max_batch_bytes) {
-        break;
-      }
-      entry.len += more->len;
-      (void)s->queue->TryPop();
-    }
+    MergeQueued(*s->queue, &entry, config_.replication_max_batch_bytes);
     co_await s->credits->Acquire();
     kafka::Segment* seg = ps->log.segments()[entry.seg].get();
     rdma::WorkRequest wr;
@@ -1050,13 +1020,7 @@ sim::Co<void> KafkaDirectBroker::PushReplicatorLoop(
       msg.kind = CtrlKind::kHwmUpdate;
       msg.value = last_hwm_sent;
       msg.aux = s->file_id;
-      rdma::WorkRequest hwm_wr;
-      hwm_wr.opcode = rdma::Opcode::kSend;
-      hwm_wr.signaled = false;
-      hwm_wr.send_inline = true;  // no retained buffer needed
-      msg.EncodeTo(hwm_wr.inline_data);
-      hwm_wr.length = kCtrlMsgSize;
-      (void)s->qp->PostSend(hwm_wr);
+      (void)s->qp->PostSend(CtrlSendWr(msg));
     }
   }
 }
@@ -1095,34 +1059,25 @@ sim::Co<void> KafkaDirectBroker::PushCreditDrainer(PushSession* session,
   }
 }
 
-sim::Co<void> KafkaDirectBroker::HandleReplicaAccess(Request req) {
-  kafka::ReplicaRdmaAccessRequest areq;
-  kafka::ReplicaRdmaAccessResponse resp;
-  if (!kafka::Decode(Slice(req.frame), &areq).ok()) {
-    resp.error = ErrorCode::kInvalidRequest;
-    SendResponse(req.conn, Encode(resp));
-    co_return;
-  }
+sim::Co<kafka::ReplicaRdmaAccessResponse>
+KafkaDirectBroker::HandleReplicaAccess(
+    const kafka::ReplicaRdmaAccessRequest& areq,
+    const net::MessageStreamPtr& /*conn*/) {
   PartitionState* ps = GetPartition(areq.tp);
   if (ps == nullptr || ps->is_leader) {
-    resp.error = ErrorCode::kUnknownTopicOrPartition;
-    SendResponse(req.conn, Encode(resp));
-    co_return;
+    co_return {ErrorCode::kUnknownTopicOrPartition};
   }
   if (areq.stale_file_id != 0) {
     auto it = rdma_files_.find(areq.stale_file_id);
     if (it != rdma_files_.end()) {
       AbortFile(it->second.get(), ErrorCode::kNone);
     }
-    co_await ps->append_mu.Lock();
-    ps->log.Roll();
-    ps->append_mu.Unlock();
-    OnRolled(*ps);
+    co_await RollHead(*ps);
   }
   RdmaFileState* fs = CreateFileState(*ps, /*shared=*/false,
                                       /*replica=*/true);
   co_await Work(rnic_.RegistrationCost(ps->log.head().capacity()));
-  resp.error = ErrorCode::kNone;
+  kafka::ReplicaRdmaAccessResponse resp;
   resp.file_id = fs->file_id;
   resp.addr = fs->mr->addr();
   resp.rkey = fs->mr->rkey();
@@ -1139,7 +1094,7 @@ sim::Co<void> KafkaDirectBroker::HandleReplicaAccess(Request req) {
     kd_obs_.credits_outstanding->Set(static_cast<int64_t>(credits));
   }
   resp.credits = credits;
-  SendResponse(req.conn, Encode(resp));
+  co_return resp;
 }
 
 void KafkaDirectBroker::GrantCredit(uint32_t qp_num, PartitionState* ps) {
@@ -1237,84 +1192,43 @@ void KafkaDirectBroker::OnLeadershipChanged(PartitionState& ps,
   }
 }
 
-sim::Co<void> KafkaDirectBroker::HandleConsumeAccess(Request req) {
-  kafka::RdmaConsumeAccessRequest areq;
-  kafka::RdmaConsumeAccessResponse resp;
-  if (!kafka::Decode(Slice(req.frame), &areq).ok()) {
-    resp.error = ErrorCode::kInvalidRequest;
-    SendResponse(req.conn, Encode(resp));
-    co_return;
-  }
+sim::Co<kafka::RdmaConsumeAccessResponse>
+KafkaDirectBroker::HandleConsumeAccess(
+    const kafka::RdmaConsumeAccessRequest& areq,
+    const net::MessageStreamPtr& conn) {
   PartitionState* ps = GetPartition(areq.tp);
-  if (ps == nullptr) {
-    resp.error = ErrorCode::kUnknownTopicOrPartition;
-    SendResponse(req.conn, Encode(resp));
-    co_return;
-  }
-  if (!ps->is_leader || !config_.rdma_consume) {
-    resp.error = config_.rdma_consume ? ErrorCode::kNotLeader
-                                      : ErrorCode::kRdmaAccessDenied;
-    SendResponse(req.conn, Encode(resp));
-    co_return;
-  }
-  int64_t leo = ps->log.log_end_offset();
-  if (areq.offset < 0 || areq.offset > leo) {
-    resp.error = ErrorCode::kOffsetOutOfRange;
-    SendResponse(req.conn, Encode(resp));
-    co_return;
-  }
-  int seg_index;
-  if (areq.offset == leo) {
-    seg_index = static_cast<int>(ps->log.segments().size()) - 1;
-  } else {
-    seg_index = ps->log.SegmentIndexFor(areq.offset);
-    if (seg_index < 0) {
-      resp.error = ErrorCode::kOffsetOutOfRange;
-      SendResponse(req.conn, Encode(resp));
-      co_return;
-    }
-  }
-  kafka::Segment& seg = *ps->log.segments()[seg_index];
-  uint64_t start_pos;
-  if (areq.offset >= seg.next_offset()) {
-    start_pos = seg.size();
-  } else {
-    auto pos_or = seg.PositionOf(areq.offset);
-    start_pos = pos_or.ok() ? pos_or.value() : seg.size();
-  }
+  if (ps == nullptr) co_return {ErrorCode::kUnknownTopicOrPartition};
+  if (!config_.rdma_consume) co_return {ErrorCode::kRdmaAccessDenied};
+  if (!ps->is_leader) co_return {ErrorCode::kNotLeader};
+  const std::optional<ConsumeStart> start =
+      FindConsumeStart(ps->log, areq.offset);
+  if (!start) co_return {ErrorCode::kOffsetOutOfRange};
+  kafka::Segment& seg = *ps->log.segments()[start->seg_index];
   // Map the file and register it with the RNIC (mmap + ibv_reg_mr).
   co_await Work(rnic_.RegistrationCost(seg.capacity()));
   auto mr_or = rnic_.RegisterMemory(seg.data(), seg.capacity(),
                                     rdma::kAccessRemoteRead);
-  if (!mr_or.ok()) {
-    resp.error = ErrorCode::kInvalidRequest;
-    SendResponse(req.conn, Encode(resp));
-    co_return;
-  }
+  if (!mr_or.ok()) co_return {ErrorCode::kInvalidRequest};
   auto grant = std::make_unique<ConsumeGrant>();
   grant->file_ref = next_file_ref_++;
   grant->ps = ps;
-  grant->seg_index = seg_index;
+  grant->seg_index = start->seg_index;
   grant->mr = mr_or.value();
 
-  resp.error = ErrorCode::kNone;
+  kafka::RdmaConsumeAccessResponse resp;
   resp.file_ref = grant->file_ref;
   resp.addr = grant->mr->addr();
   resp.rkey = grant->mr->rkey();
-  resp.start_pos = start_pos;
+  resp.start_pos = start->pos;
   resp.start_offset = areq.offset;
-  resp.last_readable = ReadablePosition(*ps, seg_index);
+  resp.last_readable = ReadablePosition(*ps, start->seg_index);
   resp.is_mutable = !seg.sealed();
   if (resp.is_mutable) {
-    ConsumerSession* session = SessionFor(req.conn);
+    ConsumerSession* session = SessionFor(conn);
     int32_t slot = session->AllocSlot();
     if (slot < 0) {
-      // Out of slots: drop the registration, and refuse without the
-      // address and rkey it would have exposed.
-      (void)rnic_.DeregisterMemory(grant->mr);
-      SendResponse(req.conn, Encode(kafka::RdmaConsumeAccessResponse{
-                                 ErrorCode::kRdmaAccessDenied}));
-      co_return;
+      (void)rnic_.DeregisterMemory(grant->mr);  // out of slots
+      co_return {ErrorCode::kRdmaAccessDenied};
     }
     grant->session = session;
     grant->slot_index = slot;
@@ -1325,71 +1239,34 @@ sim::Co<void> KafkaDirectBroker::HandleConsumeAccess(Request req) {
   }
   Ext(*ps)->consume_grants.push_back(grant.get());
   consume_grants_[grant->file_ref] = std::move(grant);
-  SendResponse(req.conn, Encode(resp));
+  co_return resp;
 }
 
 // ---------------------------------------------------------------------------
 // Ring-buffer consume protocol (DESIGN.md §12)
 // ---------------------------------------------------------------------------
 
-sim::Co<void> KafkaDirectBroker::HandleRingConsumeAccess(Request req) {
-  kafka::RdmaRingConsumeAccessRequest areq;
-  kafka::RdmaRingConsumeAccessResponse resp;
-  if (!kafka::Decode(Slice(req.frame), &areq).ok()) {
-    resp.error = ErrorCode::kInvalidRequest;
-    SendResponse(req.conn, Encode(resp));
-    co_return;
-  }
+sim::Co<kafka::RdmaRingConsumeAccessResponse>
+KafkaDirectBroker::HandleRingConsumeAccess(
+    const kafka::RdmaRingConsumeAccessRequest& areq,
+    const net::MessageStreamPtr& /*conn*/) {
   PartitionState* ps = GetPartition(areq.tp);
-  if (ps == nullptr) {
-    resp.error = ErrorCode::kUnknownTopicOrPartition;
-    SendResponse(req.conn, Encode(resp));
-    co_return;
-  }
-  if (!ps->is_leader || !config_.rdma_consume ||
-      !config_.rdma_ring_consume) {
-    resp.error = !ps->is_leader ? ErrorCode::kNotLeader
-                                : ErrorCode::kRdmaAccessDenied;
-    SendResponse(req.conn, Encode(resp));
-    co_return;
-  }
+  if (ps == nullptr) co_return {ErrorCode::kUnknownTopicOrPartition};
+  if (!ps->is_leader) co_return {ErrorCode::kNotLeader};
+  if (!config_.rdma_consume) co_return {ErrorCode::kRdmaAccessDenied};
   if (areq.ring_capacity == 0 ||
       rdma_qps_.find(areq.broker_qp) == rdma_qps_.end()) {
-    resp.error = ErrorCode::kInvalidRequest;
-    SendResponse(req.conn, Encode(resp));
-    co_return;
+    co_return {ErrorCode::kInvalidRequest};
   }
-  int64_t leo = ps->log.log_end_offset();
-  if (areq.offset < 0 || areq.offset > leo) {
-    resp.error = ErrorCode::kOffsetOutOfRange;
-    SendResponse(req.conn, Encode(resp));
-    co_return;
-  }
-  int seg_index;
-  if (areq.offset == leo) {
-    seg_index = static_cast<int>(ps->log.segments().size()) - 1;
-  } else {
-    seg_index = ps->log.SegmentIndexFor(areq.offset);
-    if (seg_index < 0) {
-      resp.error = ErrorCode::kOffsetOutOfRange;
-      SendResponse(req.conn, Encode(resp));
-      co_return;
-    }
-  }
-  kafka::Segment& seg = *ps->log.segments()[seg_index];
-  uint64_t start_pos;
-  if (areq.offset >= seg.next_offset()) {
-    start_pos = seg.size();
-  } else {
-    auto pos_or = seg.PositionOf(areq.offset);
-    start_pos = pos_or.ok() ? pos_or.value() : seg.size();
-  }
+  const std::optional<ConsumeStart> start =
+      FindConsumeStart(ps->log, areq.offset);
+  if (!start) co_return {ErrorCode::kOffsetOutOfRange};
   auto grant = std::make_unique<RingConsumeGrant>();
   grant->grant_ref = next_file_ref_++;
   grant->ps = ps;
   grant->qp_num = areq.broker_qp;
-  grant->seg_index = seg_index;
-  grant->read_pos = start_pos;
+  grant->seg_index = start->seg_index;
+  grant->read_pos = start->pos;
   grant->ring_addr = areq.ring_addr;
   grant->ring_rkey = areq.ring_rkey;
   grant->ring_capacity = areq.ring_capacity;
@@ -1403,13 +1280,9 @@ sim::Co<void> KafkaDirectBroker::HandleRingConsumeAccess(Request req) {
   auto mr_or = rnic_.RegisterMemory(grant->head_word.data(),
                                     grant->head_word.size(),
                                     rdma::kAccessRemoteWrite);
-  if (!mr_or.ok()) {
-    resp.error = ErrorCode::kInvalidRequest;
-    SendResponse(req.conn, Encode(resp));
-    co_return;
-  }
+  if (!mr_or.ok()) co_return {ErrorCode::kInvalidRequest};
   grant->head_mr = mr_or.value();
-  resp.error = ErrorCode::kNone;
+  kafka::RdmaRingConsumeAccessResponse resp;
   resp.grant_ref = grant->grant_ref;
   resp.start_offset = areq.offset;
   resp.head_addr = grant->head_mr->addr();
@@ -1417,7 +1290,7 @@ sim::Co<void> KafkaDirectBroker::HandleRingConsumeAccess(Request req) {
   RingConsumeGrant* raw = grant.get();
   ring_grants_[raw->grant_ref] = std::move(grant);
   sim::Spawn(sim_, RingPushLoop(raw));
-  SendResponse(req.conn, Encode(resp));
+  co_return resp;
 }
 
 sim::Co<void> KafkaDirectBroker::RingPushLoop(RingConsumeGrant* g) {
@@ -1534,45 +1407,41 @@ CommitSlot* KafkaDirectBroker::GetOrCreateCommitSlot(
   return raw;
 }
 
-sim::Co<void> KafkaDirectBroker::HandleCommitAccess(Request req) {
-  kafka::RdmaCommitAccessRequest areq;
-  kafka::RdmaCommitAccessResponse resp;
-  if (!kafka::Decode(Slice(req.frame), &areq).ok()) {
-    resp.error = ErrorCode::kInvalidRequest;
-    SendResponse(req.conn, Encode(resp));
-    co_return;
-  }
+sim::Co<kafka::RdmaCommitAccessResponse>
+KafkaDirectBroker::HandleCommitAccess(
+    const kafka::RdmaCommitAccessRequest& areq,
+    const net::MessageStreamPtr& /*conn*/) {
   PartitionState* ps = GetPartition(areq.tp);
-  if (ps == nullptr || !ps->is_leader) {
-    resp.error = ps == nullptr ? ErrorCode::kUnknownTopicOrPartition
-                               : ErrorCode::kNotLeader;
-    SendResponse(req.conn, Encode(resp));
-    co_return;
-  }
+  if (ps == nullptr) co_return {ErrorCode::kUnknownTopicOrPartition};
+  if (!ps->is_leader) co_return {ErrorCode::kNotLeader};
   CommitSlot* slot = GetOrCreateCommitSlot(*ps, areq.group);
   // Seed the slot with any offset committed over TCP before the upgrade.
   auto it = ps->committed_offsets.find(areq.group);
   if (it != ps->committed_offsets.end()) {
     EncodeFixed64(slot->value.data(), static_cast<uint64_t>(it->second));
   }
-  resp.error = ErrorCode::kNone;
+  kafka::RdmaCommitAccessResponse resp;
   resp.slot_addr = slot->mr->addr();
   resp.slot_rkey = slot->mr->rkey();
-  SendResponse(req.conn, Encode(resp));
+  co_return resp;
+}
+
+CommitSlot* KafkaDirectBroker::FindCommitSlot(const TopicPartitionId& tp,
+                                              const std::string& group) {
+  PartitionState* ps = GetPartition(tp);
+  if (ps == nullptr) return nullptr;
+  auto& slots = Ext(*ps)->commit_slots;
+  auto it = slots.find(group);
+  return it == slots.end() ? nullptr : it->second.get();
 }
 
 sim::Co<void> KafkaDirectBroker::HandleCommitOffset(Request req) {
   // Keep the RDMA slot coherent when legacy TCP commits arrive.
   kafka::CommitOffsetRequest creq;
   if (kafka::Decode(Slice(req.frame), &creq).ok()) {
-    PartitionState* ps = GetPartition(creq.tp);
-    if (ps != nullptr) {
-      KdPartitionExt* ext = Ext(*ps);
-      auto it = ext->commit_slots.find(creq.group);
-      if (it != ext->commit_slots.end()) {
-        EncodeFixed64(it->second->value.data(),
-                      static_cast<uint64_t>(creq.offset));
-      }
+    CommitSlot* slot = FindCommitSlot(creq.tp, creq.group);
+    if (slot != nullptr) {
+      EncodeFixed64(slot->value.data(), static_cast<uint64_t>(creq.offset));
     }
   }
   co_await Broker::HandleCommitOffset(std::move(req));
@@ -1581,46 +1450,31 @@ sim::Co<void> KafkaDirectBroker::HandleCommitOffset(Request req) {
 sim::Co<void> KafkaDirectBroker::HandleFetchCommittedOffset(Request req) {
   kafka::FetchCommittedOffsetRequest creq;
   if (kafka::Decode(Slice(req.frame), &creq).ok()) {
-    PartitionState* ps = GetPartition(creq.tp);
-    if (ps != nullptr) {
-      KdPartitionExt* ext = Ext(*ps);
-      auto it = ext->commit_slots.find(creq.group);
-      if (it != ext->commit_slots.end()) {
-        // The slot is authoritative once RDMA commits are enabled: the
-        // broker reads the memory the consumers write one-sidedly.
-        kafka::FetchCommittedOffsetResponse resp;
-        resp.offset = static_cast<int64_t>(
-            DecodeFixed64(it->second->value.data()));
-        co_await Work(cost().kafka.fetch_process_ns);
-        SendResponse(req.conn, Encode(resp));
-        co_return;
-      }
+    CommitSlot* slot = FindCommitSlot(creq.tp, creq.group);
+    if (slot != nullptr) {
+      // The slot is authoritative once RDMA commits are enabled: the
+      // broker reads the memory the consumers write one-sidedly.
+      kafka::FetchCommittedOffsetResponse resp;
+      resp.offset = static_cast<int64_t>(DecodeFixed64(slot->value.data()));
+      co_await Work(cost().kafka.fetch_process_ns);
+      SendResponse(req.conn, Encode(resp));
+      co_return;
     }
   }
   co_await Broker::HandleFetchCommittedOffset(std::move(req));
 }
 
-sim::Co<void> KafkaDirectBroker::HandleUnregister(Request req) {
-  kafka::RdmaUnregisterRequest ureq;
-  kafka::RdmaUnregisterResponse resp;
-  if (!kafka::Decode(Slice(req.frame), &ureq).ok()) {
-    resp.error = ErrorCode::kInvalidRequest;
-    SendResponse(req.conn, Encode(resp));
-    co_return;
-  }
+sim::Co<kafka::RdmaUnregisterResponse> KafkaDirectBroker::HandleUnregister(
+    const kafka::RdmaUnregisterRequest& ureq,
+    const net::MessageStreamPtr& /*conn*/) {
   auto ring_it = ring_grants_.find(ureq.file_ref);
   if (ring_it != ring_grants_.end()) {
     // The push loop owns teardown; it wakes, sees `closed`, and erases.
     ring_it->second->closed = true;
-    SendResponse(req.conn, Encode(resp));
-    co_return;
+    co_return {};
   }
   auto it = consume_grants_.find(ureq.file_ref);
-  if (it == consume_grants_.end()) {
-    resp.error = ErrorCode::kInvalidRequest;
-    SendResponse(req.conn, Encode(resp));
-    co_return;
-  }
+  if (it == consume_grants_.end()) co_return {ErrorCode::kInvalidRequest};
   ConsumeGrant* grant = it->second.get();
   if (grant->slot_index >= 0) {
     static_cast<ConsumerSession*>(grant->session)
@@ -1629,7 +1483,7 @@ sim::Co<void> KafkaDirectBroker::HandleUnregister(Request req) {
   std::erase(Ext(*grant->ps)->consume_grants, grant);
   (void)rnic_.DeregisterMemory(grant->mr);
   consume_grants_.erase(it);
-  SendResponse(req.conn, Encode(resp));
+  co_return {};
 }
 
 // ---------------------------------------------------------------------------

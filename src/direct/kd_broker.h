@@ -284,10 +284,24 @@ class KafkaDirectBroker : public kafka::Broker {
                       rdma::QueuePair* qp = nullptr);
   /// Recycles a dead QP's ctrl receive buffers through buf_pool_.
   void ReleaseQpRecvPool(uint32_t qp_num);
+  /// Queues one produce arrival (WriteWithImm or Write+Send notify) for
+  /// the API workers, ordering exclusive files by arrival.
+  void EnqueueProduceArrival(Request req);
+
+  /// One grant request (DESIGN.md §4): decodes the frame as a `Req`, awaits
+  /// `handler`'s response (kInvalidRequest if the frame does not decode)
+  /// and sends it. A handler builds each refusal fresh, so no error
+  /// response carries a field filled before the failure.
+  template <typename Req, typename Resp>
+  sim::Co<void> Serve(Request req,
+                      sim::Co<Resp> (KafkaDirectBroker::*handler)(
+                          const Req&, const net::MessageStreamPtr&));
 
   // --- RDMA produce module ---
   KdPartitionExt* Ext(kafka::PartitionState& ps);
-  sim::Co<void> HandleProduceAccess(Request req);
+  sim::Co<kafka::RdmaProduceAccessResponse> HandleProduceAccess(
+      const kafka::RdmaProduceAccessRequest& areq,
+      const net::MessageStreamPtr& conn);
   sim::Co<void> HandleRdmaProduceArrival(Request req);
   sim::Co<void> CommitRdmaWrite(RdmaFileState* fs, uint16_t order,
                                 uint32_t byte_len, uint32_t qp_num,
@@ -304,10 +318,20 @@ class KafkaDirectBroker : public kafka::Broker {
     return diff >= 1 && diff < 0x8000;
   }
   void AbortFile(RdmaFileState* fs, kafka::ErrorCode error);
+  /// Head-file rotation: waits until the claims below `target` have
+  /// committed (a stalled writer aborts the file after two hole timeouts),
+  /// then retires the grant. True if the file drained without aborting.
+  sim::Co<bool> SealForRotation(RdmaFileState* fs, uint64_t target);
+  /// Rolls the partition log under its append lock.
+  sim::Co<void> RollHead(kafka::PartitionState& ps);
   /// Sends the produce ack once `required` is covered by the HWM.
   sim::Co<void> AckWhenCommitted(kafka::PartitionState* ps, uint32_t qp_num,
                                  uint16_t order, int64_t base,
                                  int64_t required, uint32_t stream);
+  /// The kProduceAck for `order`: `base` on success, else `error`. A TCP
+  /// writer (qp_num 0) gets none; CommitBatch answers it.
+  void SendProduceAck(uint32_t qp_num, uint16_t order, uint32_t stream,
+                      kafka::ErrorCode error, int64_t base = 0);
 
   // --- §14 million-client connection architecture ---
   /// Handles a kMuxOpen ctrl message: admits (or re-attaches) `aux`
@@ -326,25 +350,37 @@ class KafkaDirectBroker : public kafka::Broker {
   sim::Co<void> PushCreditDrainer(PushSession* session,
                                   kafka::PartitionState* ps);
   sim::Co<Status> PushHandshake(PushSession* session,
-                                kafka::PartitionState* ps,
                                 uint16_t stale_file_id);
 
   // --- push replication (follower side) ---
-  sim::Co<void> HandleReplicaAccess(Request req);
+  sim::Co<kafka::ReplicaRdmaAccessResponse> HandleReplicaAccess(
+      const kafka::ReplicaRdmaAccessRequest& areq,
+      const net::MessageStreamPtr& conn);
   void GrantCredit(uint32_t qp_num, kafka::PartitionState* ps);
 
   // --- consume module ---
-  sim::Co<void> HandleConsumeAccess(Request req);
-  sim::Co<void> HandleUnregister(Request req);
-  sim::Co<void> HandleCommitAccess(Request req);
+  sim::Co<kafka::RdmaConsumeAccessResponse> HandleConsumeAccess(
+      const kafka::RdmaConsumeAccessRequest& areq,
+      const net::MessageStreamPtr& conn);
+  sim::Co<kafka::RdmaUnregisterResponse> HandleUnregister(
+      const kafka::RdmaUnregisterRequest& ureq,
+      const net::MessageStreamPtr& conn);
+  sim::Co<kafka::RdmaCommitAccessResponse> HandleCommitAccess(
+      const kafka::RdmaCommitAccessRequest& areq,
+      const net::MessageStreamPtr& conn);
   CommitSlot* GetOrCreateCommitSlot(kafka::PartitionState& ps,
                                     const std::string& group);
+  /// The group's commit slot on `tp`, or nullptr if it has none.
+  CommitSlot* FindCommitSlot(const kafka::TopicPartitionId& tp,
+                             const std::string& group);
   ConsumerSession* SessionFor(const net::MessageStreamPtr& conn);
   void UpdateConsumeSlots(kafka::PartitionState& ps);
   uint64_t ReadablePosition(kafka::PartitionState& ps, int seg_index) const;
 
   // --- ring-buffer consume protocol (DESIGN.md §12) ---
-  sim::Co<void> HandleRingConsumeAccess(Request req);
+  sim::Co<kafka::RdmaRingConsumeAccessResponse> HandleRingConsumeAccess(
+      const kafka::RdmaRingConsumeAccessRequest& areq,
+      const net::MessageStreamPtr& conn);
   /// Per-grant pusher: streams committed bytes into the consumer ring with
   /// unsignaled Writes and publishes the tail every ring_tail_interval_bytes
   /// (plus whenever the pusher goes idle with unpublished bytes).

@@ -1,7 +1,6 @@
 #include "direct/mux_producer.h"
 
 #include <algorithm>
-#include <span>
 #include <tuple>
 #include <utility>
 
@@ -14,7 +13,6 @@ namespace kd {
 using kafka::ErrorCode;
 
 namespace {
-constexpr int kAckRecvDepth = 512;
 // A grant that takes longer than this died with its transport (e.g. the
 // endpoint was evicted again mid-reconnect); the reconnect pass retries.
 constexpr sim::TimeNs kGrantTimeout = 20ll * 1000 * 1000;  // 20 ms
@@ -86,16 +84,7 @@ sim::Co<Status> MuxProducer::EstablishTransport() {
   auto broker_qp = co_await leader_->AcceptRdma(qp_);
   if (!broker_qp.ok()) co_return broker_qp.status();
   broker_qp_num_ = broker_qp.value()->qp_num();
-  ack_bufs_.clear();
-  std::vector<rdma::RecvRequest> recvs(kAckRecvDepth);
-  for (int i = 0; i < kAckRecvDepth; i++) {
-    ack_bufs_.emplace_back(kCtrlMsgSize);
-    recvs[i].wr_id = static_cast<uint64_t>(i);
-    recvs[i].buf = ack_bufs_.back().data();
-    recvs[i].len = kCtrlMsgSize;
-  }
-  KD_CO_RETURN_IF_ERROR(
-      qp_->PostRecv(std::span<const rdma::RecvRequest>(recvs)));
+  KD_CO_RETURN_IF_ERROR(PostAckRecvs(*qp_, &ack_bufs_));
   sim::Spawn(sim_, RecvAckLoop(alive_, recv_cq_));
   sim::Spawn(sim_, SendCqDrainer(alive_, send_cq_));
   co_return Status::OK();
@@ -117,37 +106,23 @@ sim::Co<Status> MuxProducer::RequestAccess(const kafka::TopicPartitionId& tp,
   req.stale_file_id = stale_file_id;
   req.broker_qp = broker_qp_num_;
   req.rotate_target = rotate_target;
-  Status sent = co_await ctrl_->Send(Encode(req), false);
-  if (!sent.ok()) {
-    ctrl_mu_->Unlock();
-    co_return sent;
-  }
-  auto frame = co_await ctrl_->Recv();
-  if (!frame.ok()) {
-    ctrl_mu_->Unlock();
-    co_return frame.status();
-  }
   kafka::RdmaProduceAccessResponse resp;
-  Status decoded = kafka::Decode(Slice(frame.value()), &resp);
-  if (!decoded.ok()) {
-    ctrl_mu_->Unlock();
-    co_return decoded;
+  Status st = co_await Call(*ctrl_, req, &resp);
+  if (st.ok() && resp.error != ErrorCode::kNone) {
+    st = Status::PermissionDenied(std::string("mux produce access denied: ") +
+                                  ErrorCodeName(resp.error));
   }
-  if (resp.error != ErrorCode::kNone) {
-    ctrl_mu_->Unlock();
-    co_return Status::PermissionDenied(
-        std::string("mux produce access denied: ") +
-        ErrorCodeName(resp.error));
+  if (st.ok()) {
+    FileGrant& g = grants_[tp];  // inserted only on success
+    g.tp = tp;
+    g.file_id = resp.file_id;
+    g.addr = resp.addr;
+    g.rkey = resp.rkey;
+    g.capacity = resp.capacity;
+    g.write_pos = resp.write_pos;
   }
-  FileGrant& g = grants_[tp];  // inserted only on success
-  g.tp = tp;
-  g.file_id = resp.file_id;
-  g.addr = resp.addr;
-  g.rkey = resp.rkey;
-  g.capacity = resp.capacity;
-  g.write_pos = resp.write_pos;
   ctrl_mu_->Unlock();
-  co_return Status::OK();
+  co_return st;
 }
 
 sim::Co<StatusOr<MuxOpenResult>> MuxProducer::SendOpen(uint32_t base,
@@ -158,17 +133,7 @@ sim::Co<StatusOr<MuxOpenResult>> MuxProducer::SendOpen(uint32_t base,
   m.kind = CtrlKind::kMuxOpen;
   m.stream = base;
   m.aux = count;
-  rdma::WorkRequest wr;
-  wr.opcode = rdma::Opcode::kSend;
-  wr.signaled = false;
-  wr.send_inline = true;
-  m.EncodeTo(wr.inline_data);
-  wr.length = kCtrlMsgSize;
-  Status st = qp_->PostSend(wr);
-  while (st.IsResourceExhausted()) {
-    co_await sim::Delay(sim_, 1000);
-    st = qp_->PostSend(wr);
-  }
+  Status st = co_await PostCtrl(m);
   if (!st.ok()) {
     grant_waiters_.erase(base);
     co_return st;
@@ -269,18 +234,18 @@ sim::Co<Status> MuxProducer::CloseStreams(uint32_t base, uint32_t count) {
   m.kind = CtrlKind::kMuxClose;
   m.stream = base;
   m.aux = count;
-  rdma::WorkRequest wr;
-  wr.opcode = rdma::Opcode::kSend;
-  wr.signaled = false;
-  wr.send_inline = true;
-  m.EncodeTo(wr.inline_data);
-  wr.length = kCtrlMsgSize;
+  (void)co_await PostCtrl(m);
+  co_return Status::OK();  // close is best-effort; the broker idles it out
+}
+
+sim::Co<Status> MuxProducer::PostCtrl(CtrlMsg msg) {
+  const rdma::WorkRequest wr = CtrlSendWr(msg);
   Status st = qp_->PostSend(wr);
   while (st.IsResourceExhausted()) {
-    co_await sim::Delay(sim_, 1000);
+    co_await sim::Delay(sim_, 1000);  // send queue full
     st = qp_->PostSend(wr);
   }
-  co_return Status::OK();  // close is best-effort; the broker idles it out
+  co_return st;
 }
 
 sim::Co<Status> MuxProducer::PostRecord(uint32_t stream,

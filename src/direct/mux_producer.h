@@ -150,6 +150,8 @@ class MuxProducer {
                                 uint64_t rotate_target = 0);
   /// One kMuxOpen round trip over the RDMA ctrl plane.
   sim::Co<StatusOr<MuxOpenResult>> SendOpen(uint32_t base, uint32_t count);
+  /// Posts `msg` as an inline ctrl Send, waiting out a full send queue.
+  sim::Co<Status> PostCtrl(CtrlMsg msg);
   /// Lazy reconnect: new transport + grant, re-open every stream, resolve
   /// records the broker already committed, re-post the rest.
   sim::Co<Status> Reconnect();

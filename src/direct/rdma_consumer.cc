@@ -109,11 +109,8 @@ sim::Co<Status> RdmaConsumer::RequestRingAccess(Subscription* sub,
   req.ring_capacity = sub->ring_buf.size();
   req.tail_addr = sub->tail_mr->addr();
   req.tail_rkey = sub->tail_mr->rkey();
-  KD_CO_RETURN_IF_ERROR(co_await ctrl_->Send(Encode(req), false));
-  auto frame = co_await ctrl_->Recv();
-  if (!frame.ok()) co_return frame.status();
   kafka::RdmaRingConsumeAccessResponse resp;
-  KD_CO_RETURN_IF_ERROR(kafka::Decode(Slice(frame.value()), &resp));
+  KD_CO_RETURN_IF_ERROR(co_await Call(*ctrl_, req, &resp));
   if (resp.error != ErrorCode::kNone) {
     co_return Status::PermissionDenied(
         std::string("RDMA ring consume access denied: ") +
@@ -134,19 +131,15 @@ sim::Co<Status> RdmaConsumer::RequestAccess(Subscription* sub, int64_t offset,
     kafka::RdmaUnregisterRequest ureq;
     ureq.tp = sub->tp;
     ureq.file_ref = sub->file_ref;
-    KD_CO_RETURN_IF_ERROR(co_await ctrl_->Send(Encode(ureq), false));
-    auto uframe = co_await ctrl_->Recv();
-    if (!uframe.ok()) co_return uframe.status();
+    kafka::RdmaUnregisterResponse uresp;  // carries nothing to act on
+    KD_CO_RETURN_IF_ERROR(co_await Call(*ctrl_, ureq, &uresp));
     file_switches_++;
   }
   kafka::RdmaConsumeAccessRequest req;
   req.tp = sub->tp;
   req.offset = offset;
-  KD_CO_RETURN_IF_ERROR(co_await ctrl_->Send(Encode(req), false));
-  auto frame = co_await ctrl_->Recv();
-  if (!frame.ok()) co_return frame.status();
   kafka::RdmaConsumeAccessResponse resp;
-  KD_CO_RETURN_IF_ERROR(kafka::Decode(Slice(frame.value()), &resp));
+  KD_CO_RETURN_IF_ERROR(co_await Call(*ctrl_, req, &resp));
   if (resp.error != ErrorCode::kNone) {
     co_return Status::PermissionDenied(
         std::string("RDMA consume access denied: ") +
@@ -173,11 +166,8 @@ sim::Co<Status> RdmaConsumer::EnableRdmaCommitImpl(
   kafka::RdmaCommitAccessRequest req;
   req.tp = tp;
   req.group = group;
-  KD_CO_RETURN_IF_ERROR(co_await ctrl_->Send(Encode(req), false));
-  auto frame = co_await ctrl_->Recv();
-  if (!frame.ok()) co_return frame.status();
   kafka::RdmaCommitAccessResponse resp;
-  KD_CO_RETURN_IF_ERROR(kafka::Decode(Slice(frame.value()), &resp));
+  KD_CO_RETURN_IF_ERROR(co_await Call(*ctrl_, req, &resp));
   if (resp.error != ErrorCode::kNone) {
     co_return Status::PermissionDenied("RDMA commit access denied");
   }

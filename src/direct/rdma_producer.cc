@@ -1,7 +1,6 @@
 #include "direct/rdma_producer.h"
 
 #include <algorithm>
-#include <span>
 #include <vector>
 
 #include "sim/awaitable.h"
@@ -10,10 +9,6 @@ namespace kafkadirect {
 namespace kd {
 
 using kafka::ErrorCode;
-
-namespace {
-constexpr int kAckRecvDepth = 512;
-}
 
 RdmaProducer::RdmaProducer(sim::Simulator& sim, net::Fabric& fabric,
                            tcpnet::Network& tcp, net::NodeId node,
@@ -45,7 +40,6 @@ void RdmaProducer::Close() {
 
 sim::Co<Status> RdmaProducer::ConnectImpl(KafkaDirectBroker* leader,
                                           kafka::TopicPartitionId tp) {
-  leader_ = leader;
   tp_ = tp;
   auto ctrl_or =
       co_await tcp_.Connect(node_, leader->node(), kafka::kKafkaPort);
@@ -58,17 +52,7 @@ sim::Co<Status> RdmaProducer::ConnectImpl(KafkaDirectBroker* leader,
   auto broker_qp = co_await leader->AcceptRdma(qp_);
   if (!broker_qp.ok()) co_return broker_qp.status();
   broker_qp_num_ = broker_qp.value()->qp_num();
-  ack_bufs_.clear();
-  std::vector<rdma::RecvRequest> recvs(kAckRecvDepth);
-  for (int i = 0; i < kAckRecvDepth; i++) {
-    ack_bufs_.emplace_back(kCtrlMsgSize);
-    recvs[i].wr_id = static_cast<uint64_t>(i);
-    recvs[i].buf = ack_bufs_.back().data();
-    recvs[i].len = kCtrlMsgSize;
-  }
-  // One postlist (one doorbell) instead of kAckRecvDepth separate posts.
-  KD_CO_RETURN_IF_ERROR(
-      qp_->PostRecv(std::span<const rdma::RecvRequest>(recvs)));
+  KD_CO_RETURN_IF_ERROR(PostAckRecvs(*qp_, &ack_bufs_));
   sim::Spawn(sim_, RecvAckLoop(alive_, recv_cq_));
   sim::Spawn(sim_, SendCqDrainer(alive_, send_cq_));
   co_return co_await RequestAccess(0);
@@ -88,52 +72,37 @@ sim::Co<Status> RdmaProducer::RequestAccess(uint16_t stale_file_id,
   req.stale_file_id = stale_file_id;
   req.broker_qp = broker_qp_num_;
   req.rotate_target = rotate_target;
-  Status sent = co_await ctrl_->Send(Encode(req), false);
-  if (!sent.ok()) {
-    ctrl_mu_->Unlock();
-    co_return sent;
-  }
-  auto frame = co_await ctrl_->Recv();
-  if (!frame.ok()) {
-    ctrl_mu_->Unlock();
-    co_return frame.status();
-  }
   kafka::RdmaProduceAccessResponse resp;
-  Status decoded = kafka::Decode(Slice(frame.value()), &resp);
-  if (!decoded.ok()) {
-    ctrl_mu_->Unlock();
-    co_return decoded;
-  }
-  if (resp.error != ErrorCode::kNone) {
-    return_error_ = resp.error;
-    ctrl_mu_->Unlock();
-    co_return Status::PermissionDenied(
+  Status st = co_await Call(*ctrl_, req, &resp);
+  if (st.ok() && resp.error != ErrorCode::kNone) {
+    st = Status::PermissionDenied(
         std::string("RDMA produce access denied: ") +
         ErrorCodeName(resp.error));
   }
-  file_id_ = resp.file_id;
-  file_addr_ = resp.addr;
-  file_rkey_ = resp.rkey;
-  file_capacity_ = resp.capacity;
-  write_pos_ = resp.write_pos;
-  atomic_addr_ = resp.atomic_addr;
-  atomic_rkey_ = resp.atomic_rkey;
-  if (stale_file_id != 0) rotations_++;
+  if (st.ok()) {
+    file_id_ = resp.file_id;
+    file_addr_ = resp.addr;
+    file_rkey_ = resp.rkey;
+    file_capacity_ = resp.capacity;
+    write_pos_ = resp.write_pos;
+    atomic_addr_ = resp.atomic_addr;
+    atomic_rkey_ = resp.atomic_rkey;
+    if (stale_file_id != 0) rotations_++;
+  }
   ctrl_mu_->Unlock();
-  co_return Status::OK();
+  co_return st;
 }
 
 sim::Co<StatusOr<uint64_t>> RdmaProducer::ClaimRegion(uint64_t size) {
   for (int attempt = 0; attempt < 8; attempt++) {
     uint64_t wr_id = next_wr_id_++;
-    auto result = std::make_shared<std::vector<uint8_t>>(8, 0);
+    std::vector<uint8_t> result(8, 0);
     auto ev = std::make_shared<sim::Event>(sim_);
     faa_waiters_[wr_id] = ev;
-    faa_results_[wr_id] = result;
     rdma::WorkRequest wr;
     wr.wr_id = wr_id;
     wr.opcode = rdma::Opcode::kFetchAdd;
-    wr.local_addr = result->data();
+    wr.local_addr = result.data();
     wr.remote_addr = atomic_addr_;
     wr.rkey = atomic_rkey_;
     wr.compare_add = FaaClaim(size);
@@ -143,9 +112,8 @@ sim::Co<StatusOr<uint64_t>> RdmaProducer::ClaimRegion(uint64_t size) {
     // The FAA completion is busy-polled (fast path; no blocking wakeup).
     co_await ev->Wait();
     faa_waiters_.erase(wr_id);
-    faa_results_.erase(wr_id);
     if (faa_failed_) co_return Status::Disconnected("FAA failed");
-    uint64_t word = DecodeFixed64(result->data());
+    uint64_t word = DecodeFixed64(result.data());
     uint64_t pos = AtomicOffset(word);
     if (pos + size > file_capacity_) {
       // Overflow detected via the extra offset bits (§4.2.2, Fig. 5):

@@ -122,7 +122,6 @@ class RdmaProducer {
   net::NodeId node_;
   RdmaProducerConfig config_;
   kafka::TopicPartitionId tp_;
-  KafkaDirectBroker* leader_ = nullptr;
 
   rdma::Rnic rnic_;
   std::shared_ptr<rdma::CompletionQueue> send_cq_;
@@ -148,7 +147,6 @@ class RdmaProducer {
   std::unique_ptr<sim::AsyncMutex> ctrl_mu_;   // one access request at a time
   /// FAA completions routed by wr_id.
   std::map<uint64_t, std::shared_ptr<sim::Event>> faa_waiters_;
-  std::map<uint64_t, std::shared_ptr<std::vector<uint8_t>>> faa_results_;
   uint64_t next_wr_id_ = 1;
 
   Histogram latencies_;
@@ -158,15 +156,10 @@ class RdmaProducer {
   uint64_t rotations_ = 0;
   uint64_t faa_issued_ = 0;
   uint32_t broker_qp_num_ = 0;
-  /// Selective signaling: effective interval (config clamped at Connect)
-  /// and the running count of notification WRs used to pick the Nth.
-  /// Notification-mix counters (kd.direct.notify.*): how often each
-  /// notification shape was chosen, so the adaptive policy is observable.
   obs::Counter* notify_imm_ = nullptr;
   obs::Counter* notify_send_ = nullptr;
   bool closed_ = false;
   bool faa_failed_ = false;
-  kafka::ErrorCode return_error_ = kafka::ErrorCode::kNone;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

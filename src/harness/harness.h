@@ -176,8 +176,8 @@ struct ConsumeOptions {
   /// "broker replies with one record for each fetch request").
   int records_per_poll = 1;
   /// Ring-buffer consume protocol (DESIGN.md §12) for the RDMA consumer;
-  /// requires the deployment to enable broker.rdma_ring_consume. Ignored
-  /// by the TCP/OSU systems.
+  /// requires the deployment to enable broker.rdma_consume. Ignored by the
+  /// TCP/OSU systems.
   bool ring_consume = false;
 };
 

@@ -63,18 +63,6 @@ struct BrokerConfig {
   /// Max completions drained per poller wakeup (1 = per-CQE polling).
   int cq_poll_batch = 1;
 
-  /// Ring-buffer Write consume (DESIGN.md §12; default off so the paper
-  /// figures are unchanged): instead of consumers issuing one-sided Reads
-  /// paced by metadata-slot polling, the broker pushes committed bytes
-  /// into a consumer-registered ring MR and publishes a tail pointer every
-  /// 16 KiB, so notification and reclamation are amortized over many
-  /// records. Requires rdma_consume.
-  bool rdma_ring_consume = false;
-
-  // Shared RDMA produce: how long request i waits for request i-1 before
-  // the broker aborts and revokes access (§4.2.2).
-  sim::TimeNs shared_produce_hole_timeout = 5 * 1000 * 1000;  // 5 ms
-
   // --- Million-client connection architecture (DESIGN.md §14). All
   // default off so the paper figures stay bit-identical. ---
 

@@ -22,7 +22,6 @@ class RingConsumeTest : public KdClusterTest {
     kafka::BrokerConfig cfg;
     cfg.rdma_produce = true;
     cfg.rdma_consume = true;
-    cfg.rdma_ring_consume = true;
     BootWithConfig(cfg, 1, 1, 1);
   }
 

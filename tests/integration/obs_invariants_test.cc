@@ -286,7 +286,6 @@ TEST(ObsInvariantsTest, RingConsumeConservesBytesWithZeroReads) {
   DeploymentConfig deploy;
   deploy.broker.rdma_produce = true;
   deploy.broker.rdma_consume = true;
-  deploy.broker.rdma_ring_consume = true;
   TestCluster cluster(deploy);
   ConsumeOptions options;
   options.preload_records = 80;
@@ -312,7 +311,6 @@ TEST(ObsInvariantsTest, AllProtocolUpgradesComposeCleanly) {
   deploy.broker.rdma_produce = true;
   deploy.broker.rdma_replicate = true;
   deploy.broker.rdma_consume = true;
-  deploy.broker.rdma_ring_consume = true;
   TestCluster cluster(deploy);
   const kafka::TopicPartitionId tp{"composed", 0};
   KD_CHECK_OK(cluster.CreateTopic(tp.topic, 1, 2));

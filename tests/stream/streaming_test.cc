@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/units.h"
+#include "direct/rdma_consumer.h"
 #include "harness/harness.h"
 #include "kafka/producer.h"
 #include "sim/awaitable.h"
@@ -150,20 +151,38 @@ sim::Co<void> ProduceEvents(harness::TestCluster* cluster,
   *done = true;
 }
 
+// Ingests ring-pushed events into `engine` until it has processed `total`,
+// advancing `*next_offset` past each delivered record.
+sim::Co<void> DrainRing(harness::TestCluster* cluster,
+                        kd::RdmaConsumer* consumer,
+                        kafka::TopicPartitionId tp, EventEngine* engine,
+                        int64_t* next_offset, int64_t total) {
+  while (engine->events_processed() < total) {
+    auto records = co_await consumer->Poll(tp);
+    KD_CHECK(records.ok()) << records.status().ToString();
+    for (const kafka::OwnedRecord& record : records.value()) {
+      KD_CHECK_OK(engine->Ingest(record.value, cluster->sim().Now()));
+      *next_offset = record.offset + 1;
+    }
+    if (records->empty()) co_await sim::Delay(cluster->sim(), Millis(1));
+  }
+}
+
 sim::Co<void> IngestBody(harness::TestCluster* cluster,
                          kafka::TopicPartitionId tp, EventEngine* engine,
                          bool* done) {
   net::NodeId node = cluster->AddClientNode("ingest");
-  RingIngest ingest(cluster->sim(), cluster->fabric(), cluster->tcp(), node,
-                    RingIngestConfig{.ring_capacity = 256 * kKiB,
-                                     .head_update_bytes = 4 * kKiB});
-  KD_CHECK_OK(co_await ingest.Start(cluster->Leader(tp), tp, 0));
-  while (engine->events_processed() < 20) {
-    auto got = co_await ingest.DrainInto(engine);
-    KD_CHECK(got.ok()) << got.status().ToString();
-    if (got.value() == 0) co_await sim::Delay(cluster->sim(), Millis(1));
-  }
-  KD_CHECK(ingest.next_offset() == 20);
+  kd::RdmaConsumer consumer(cluster->sim(), cluster->fabric(), cluster->tcp(),
+                            node,
+                            kd::RdmaConsumerConfig{
+                                .ring_consume = true,
+                                .ring_capacity = 256 * kKiB,
+                                .head_update_bytes = 4 * kKiB});
+  KD_CHECK_OK(co_await consumer.Connect(cluster->Leader(tp)));
+  KD_CHECK_OK(co_await consumer.Subscribe(tp, 0));
+  int64_t next_offset = 0;
+  co_await DrainRing(cluster, &consumer, tp, engine, &next_offset, 20);
+  KD_CHECK(next_offset == 20);
 
   // The leader dies mid-stream: re-grant the ring at the new leader and
   // resume at exactly the next undelivered offset.
@@ -172,29 +191,24 @@ sim::Co<void> IngestBody(harness::TestCluster* cluster,
   co_await sim::Delay(cluster->sim(), Millis(150));  // failover settles
   kd::KafkaDirectBroker* new_leader = cluster->Leader(tp);
   KD_CHECK(new_leader != nullptr && new_leader->id() != old_leader);
-  KD_CHECK_OK(co_await ingest.Failover(new_leader));
+  KD_CHECK_OK(co_await consumer.Resubscribe(new_leader, tp, next_offset));
 
   bool produced = false;
   sim::Spawn(cluster->sim(), ProduceEvents(cluster, tp, 20, 10, &produced));
-  while (engine->events_processed() < 30) {
-    auto got = co_await ingest.DrainInto(engine);
-    KD_CHECK(got.ok()) << got.status().ToString();
-    if (got.value() == 0) co_await sim::Delay(cluster->sim(), Millis(1));
-  }
-  KD_CHECK(ingest.next_offset() == 30);
-  ingest.Close();
+  co_await DrainRing(cluster, &consumer, tp, engine, &next_offset, 30);
+  KD_CHECK(next_offset == 30);
+  consumer.Close();
   *done = true;
 }
 
-// §15 satellite: the PR-7 ring consume protocol, exposed to src/stream/.
-// Events ride the broker-pushed ring into the EventEngine, and the
-// ingester survives a leader kill exactly-once via ring re-grant.
+// Events ride the broker-pushed ring (DESIGN.md §12) into the EventEngine,
+// and the consumer survives a leader kill exactly-once by re-granting the
+// ring at the new leader from the next undelivered offset.
 TEST(RingIngestTest, IngestsOverRingAndSurvivesLeaderKill) {
   harness::DeploymentConfig deploy;
   deploy.num_brokers = 3;
   deploy.broker.control_plane = true;
   deploy.broker.rdma_consume = true;
-  deploy.broker.rdma_ring_consume = true;
   harness::TestCluster cluster(deploy);
   KD_CHECK_OK(cluster.CreateTopic("events", 1, 3));
   kafka::TopicPartitionId tp{"events", 0};
