@@ -7,6 +7,9 @@
 // least one dead 30 s timer queued, so the simulator's pending events
 // grow with the record count. With the cancellation they stay bounded by
 // live state, whatever the record count.
+//
+// A waiter woken by its broker's shutdown must also exit, not park again:
+// no timer may outlive the drain.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -89,6 +92,40 @@ TEST_F(PurgatoryTest, TcpAcksAllKeepsPendingEventsBounded) {
   EXPECT_EQ(last, 2 * kBatch - 1);
   producer.Close();
   DrainShutdown();
+}
+
+// A produce parked in the RDMA purgatory when its broker shuts down: the
+// shutdown's HWM pulse wakes it with the HWM still short of the record.
+// A dead broker acks nobody, so the waiter must exit rather than park for
+// another 30 s timeout that outlives the drain.
+TEST_F(PurgatoryTest, RdmaParkedAckExitsOnBrokerShutdown) {
+  Boot(2, 1, 2, /*rdma_produce=*/true, /*rdma_replicate=*/true);
+  const TopicPartitionId tp{"t", 0};
+  KafkaDirectBroker* leader = Leader(tp);
+  RdmaProducer producer(sim_, *fabric_, *tcpnet_, client_node_,
+                        RdmaProducerConfig{.exclusive = true});
+  bool connected = false;
+  sim::Spawn(sim_, [](KdClusterTest* t, RdmaProducer* p, TopicPartitionId tp,
+                      bool* done) -> sim::Co<void> {
+    KD_CHECK((co_await p->Connect(t->Leader(tp), tp)).ok());
+    *done = true;
+  }(this, &producer, tp, &connected));
+  RunToFlag(&connected);
+  // Without the follower the HWM cannot cover the record, so its ack parks.
+  cluster_->broker(1 - leader->id())->Shutdown();
+  bool sent = false;
+  sim::Spawn(sim_, [](RdmaProducer* p, bool* done) -> sim::Co<void> {
+    KD_CHECK((co_await p->ProduceAsync(Slice("k", 1), Slice("v", 1))).ok());
+    *done = true;
+  }(&producer, &sent));
+  RunToFlag(&sent);
+  sim_.RunFor(Millis(10));
+  const kafka::PartitionState* ps = leader->GetPartition(tp);
+  ASSERT_EQ(ps->log.log_end_offset(), 1);  // committed on the leader
+  ASSERT_EQ(ps->log.high_watermark(), 0);  // but not acked
+  producer.Close();
+  DrainShutdown();
+  EXPECT_EQ(sim_.pending_events(), 0u);
 }
 
 }  // namespace
