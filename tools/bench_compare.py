@@ -78,6 +78,25 @@ def diff(base, cur, tolerance, baseline_name):
     return failures, missing, unexpected
 
 
+def verdict(failures, missing, unexpected, kind="benchmarks"):
+    """Prints the gate's errors; returns its exit status.
+
+    A `kind` (benchmark, instrument) present in only one report fails
+    first; otherwise every metric failure is listed.
+    """
+    if missing:
+        print(f"error: {kind} missing from current report: "
+              f"{', '.join(missing)}", file=sys.stderr)
+        return 1
+    if unexpected:
+        print(f"error: {kind} not in baseline (refresh it): "
+              f"{', '.join(unexpected)}", file=sys.stderr)
+        return 1
+    for f in failures:
+        print(f"error: {f}", file=sys.stderr)
+    return 1 if failures else 0
+
+
 def main(invariants=None, description=__doc__):
     """Runs one gate from the command line; returns the exit status.
 
@@ -102,21 +121,11 @@ def main(invariants=None, description=__doc__):
     if invariants is not None:
         failures.extend(invariants(cur))
 
-    if missing:
-        print(f"error: benchmarks missing from current report: "
-              f"{', '.join(missing)}", file=sys.stderr)
-        return 1
-    if unexpected:
-        print(f"error: benchmarks not in baseline (refresh it): "
-              f"{', '.join(unexpected)}", file=sys.stderr)
-        return 1
-    if failures:
-        for f in failures:
-            print(f"error: {f}", file=sys.stderr)
-        return 1
-    print(f"{baseline_name}: all metrics within {args.tolerance:.0%} of "
-          f"baseline" + ("; invariants passed" if invariants else ""))
-    return 0
+    status = verdict(failures, missing, unexpected)
+    if status == 0:
+        print(f"{baseline_name}: all metrics within {args.tolerance:.0%} of "
+              f"baseline" + ("; invariants passed" if invariants else ""))
+    return status
 
 
 if __name__ == "__main__":

@@ -7,17 +7,12 @@ BENCH_slo.baseline.json) and reports per-instrument deltas rolled up by
 subsystem — kafka (kd.broker.*, kd.tcp.*), direct (kd.direct.*), rdma
 (kd.rdma.*), sim (kd.sim.*), other.
 
-Gate semantics match tools/bench_compare.py:
-  - --tolerance (default 0.10) bounds the relative deviation, either
-    direction, of every counter and gauge value.
-  - Zero-valued baselines are invariants: any nonzero current value fails
-    regardless of tolerance.
-  - Key-set drift fails in BOTH directions — an instrument present in only
-    one dump (renamed, dropped, or newly added without refreshing the
-    baseline) is an error, never silently skipped.
-  - Histograms gate on count (tolerance-checked); min/max/mean are
-    reported for context only, since a schedule-identical run reproduces
-    them exactly but any intended timing change would move every one.
+Each subsystem goes through tools/bench_compare.py's diff(), so the gate
+is the same as for the deterministic benches: a relative --tolerance
+(default 0.10) in both directions, a zero baseline as an invariant, and
+key drift failing in both directions. Counters and gauges are compared by
+value (gauges also by high_water), histograms by count only: min/max/mean
+would move with any intended timing change.
 
 Usage: tools/obs_report.py BASELINE CURRENT [--tolerance 0.10]
                                             [--only SUBSYSTEM]
@@ -25,7 +20,10 @@ Usage: tools/obs_report.py BASELINE CURRENT [--tolerance 0.10]
 
 import argparse
 import json
+import os
 import sys
+
+import bench_compare
 
 
 SUBSYSTEMS = (
@@ -72,70 +70,35 @@ def main():
                         help="restrict to one subsystem "
                              "(kafka/direct/rdma/sim/other)")
     args = parser.parse_args()
+    baseline_name = os.path.basename(args.baseline)
 
     base = load(args.baseline)
     cur = load(args.current)
-    if args.only:
-        base = {n: m for n, m in base.items()
-                if subsystem_of(n) == args.only}
-        cur = {n: m for n, m in cur.items() if subsystem_of(n) == args.only}
-
-    failures = []
-    missing = sorted(set(base) - set(cur))
-    unexpected = sorted(set(cur) - set(base))
-
-    by_subsystem = {}
-    for name in sorted(set(base) & set(cur)):
-        by_subsystem.setdefault(subsystem_of(name), []).append(name)
-
+    failures, missing, unexpected = [], [], []
     for subsystem in ("kafka", "direct", "rdma", "sim", "other"):
-        names = by_subsystem.get(subsystem, [])
-        if not names:
+        if args.only and subsystem != args.only:
             continue
-        deviated = 0
-        lines = []
-        for name in names:
-            for key, bval in sorted(base[name].items()):
-                if key not in cur[name]:
-                    failures.append(f"{name}: key '{key}' missing")
-                    continue
-                cval = cur[name][key]
-                if bval == 0:
-                    ok = cval == 0
-                    delta = "" if ok else f" (now {cval})"
-                else:
-                    rel = cval / bval - 1.0
-                    ok = abs(rel) <= args.tolerance
-                    delta = f" ({rel:+.1%})" if cval != bval else ""
-                if not ok:
-                    failures.append(f"{name}/{key}: {bval} -> {cval}")
-                    deviated += 1
-                if not ok or cval != bval:
-                    lines.append(
-                        f"    {name}.{key:12} {bval:>14} -> {cval:>14}"
-                        f"{delta}  {'ok' if ok else 'DEVIATED'}")
-            for key in sorted(set(cur[name]) - set(base[name])):
-                failures.append(f"{name}: key '{key}' not in baseline")
-        status = "DEVIATED" if deviated else "ok"
-        print(f"  {subsystem:8} {len(names):4} instruments, "
-              f"{deviated} deviated  {status}")
-        for line in lines:
-            print(line)
+        sub_base = {n: m for n, m in base.items()
+                    if subsystem_of(n) == subsystem}
+        sub_cur = {n: m for n, m in cur.items()
+                   if subsystem_of(n) == subsystem}
+        if not sub_base and not sub_cur:
+            continue
+        f, m, u = bench_compare.diff(sub_base, sub_cur, args.tolerance,
+                                     baseline_name)
+        deviated = len(f) + len(m) + len(u)
+        print(f"  {subsystem:8} {len(sub_base):4} instruments, "
+              f"{deviated} deviated  {'DEVIATED' if deviated else 'ok'}")
+        failures += f
+        missing += m
+        unexpected += u
 
-    if missing:
-        print(f"error: instruments missing from current dump: "
-              f"{', '.join(missing)}", file=sys.stderr)
-        return 1
-    if unexpected:
-        print(f"error: instruments not in baseline (refresh it): "
-              f"{', '.join(unexpected)}", file=sys.stderr)
-        return 1
-    if failures:
-        print(f"error: {len(failures)} metric(s) deviated more than "
-              f"{args.tolerance:.0%} from the baseline", file=sys.stderr)
-        return 1
-    print(f"obs: all instruments within {args.tolerance:.0%} of baseline")
-    return 0
+    status = bench_compare.verdict(failures, sorted(missing),
+                                   sorted(unexpected), "instruments")
+    if status == 0:
+        print(f"obs: all instruments within {args.tolerance:.0%} of "
+              f"baseline")
+    return status
 
 
 if __name__ == "__main__":
