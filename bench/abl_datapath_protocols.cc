@@ -83,12 +83,8 @@ void Run(const std::string& json_path) {
       << "ring consume must not issue RDMA Reads";
 
   if (!json_path.empty()) {
-    const harness::SimEngineOptions& eng = harness::sim_engine_options();
     std::ofstream out(json_path);
-    out << "{\n  \"context\": {\"engine\": \"sharded-deterministic\", "
-        << "\"sim_shards\": " << eng.shards
-        << ", \"sim_threads\": " << eng.threads << "},\n";
-    out << "  \"benchmarks\": [\n";
+    out << "{\n  \"benchmarks\": [\n";
     for (size_t i = 0; i < rows.size(); i++) {
       out << "    {\"name\": \"" << rows[i].name << "\"";
       for (const auto& [key, value] : rows[i].metrics) {

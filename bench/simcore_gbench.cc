@@ -13,7 +13,6 @@
 #include "obs/flight_recorder.h"
 #include "sim/awaitable.h"
 #include "sim/channel.h"
-#include "sim/sharded.h"
 #include "sim/task.h"
 
 namespace kafkadirect {
@@ -30,97 +29,6 @@ void BM_SimulatorDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_SimulatorDispatch);
-
-// --------------------------------------------------------------------------
-// Sharded engine (DESIGN.md §11): per-shard actor populations that mostly
-// self-reschedule at nanosecond distances (wheel-local traffic) and
-// periodically hop to the next shard through the lookahead mailboxes —
-// the shape of a multi-broker deployment with fabric traffic between
-// broker domains. Thread-count variants measure parallel scaling of the
-// identical schedule; the merged variant prices the determinism mode.
-// --------------------------------------------------------------------------
-
-struct BenchShardState {
-  sim::Simulator* sim = nullptr;
-  Random rng{0};
-};
-
-void ShardedStep(BenchShardState* st, uint32_t shards, uint32_t s,
-                 uint64_t actor, int left) {
-  BenchShardState& me = st[s];
-  if (left <= 0) return;
-  const uint64_t r = me.rng.Next();
-  if (shards > 1 && left % 32 == 0) {
-    const uint32_t dst = static_cast<uint32_t>((s + 1) % shards);
-    me.sim->ScheduleCross(dst, 250 + static_cast<sim::TimeNs>(r % 64),
-                          [st, shards, dst, actor, left] {
-                            ShardedStep(st, shards, dst, actor, left - 1);
-                          });
-  } else {
-    me.sim->Schedule(static_cast<sim::TimeNs>(r % 4),
-                     [st, shards, s, actor, left] {
-                       ShardedStep(st, shards, s, actor, left - 1);
-                     });
-  }
-}
-
-uint64_t RunShardedEngine(uint32_t shards, uint32_t threads,
-                          bool deterministic) {
-  sim::ShardedSimulator engine(sim::ShardedConfig{.num_shards = shards,
-                                                  .num_threads = threads,
-                                                  .lookahead_ns = 250,
-                                                  .deterministic =
-                                                      deterministic});
-  std::vector<BenchShardState> st(shards);
-  for (uint32_t s = 0; s < shards; s++) {
-    st[s].sim = &engine.shard(s);
-    st[s].rng = Random(1000 + s);
-  }
-  BenchShardState* data = st.data();
-  constexpr uint64_t kActorsPerShard = 64;
-  constexpr int kStepsPerActor = 200;
-  for (uint32_t s = 0; s < shards; s++) {
-    for (uint64_t a = 0; a < kActorsPerShard; a++) {
-      engine.shard(s).ScheduleAt(static_cast<sim::TimeNs>(a % 16),
-                                 [data, shards, s, a] {
-                                   ShardedStep(data, shards, s, a,
-                                               kStepsPerActor);
-                                 });
-    }
-  }
-  engine.Run();
-  return engine.events_processed();
-}
-
-void BM_ShardedParallel(benchmark::State& state) {
-  const uint32_t shards = static_cast<uint32_t>(state.range(0));
-  const uint32_t threads = static_cast<uint32_t>(state.range(1));
-  uint64_t events = 0;
-  for (auto _ : state) {
-    events += RunShardedEngine(shards, threads, /*deterministic=*/false);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(events));
-}
-BENCHMARK(BM_ShardedParallel)
-    ->ArgNames({"shards", "threads"})
-    ->Args({8, 1})
-    ->Args({8, 2})
-    ->Args({8, 4})
-    ->Args({8, 8})
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
-
-// Determinism mode on the same workload: the single-threaded merged
-// schedule the parallel variants are verified against.
-void BM_ShardedMerged(benchmark::State& state) {
-  const uint32_t shards = static_cast<uint32_t>(state.range(0));
-  uint64_t events = 0;
-  for (auto _ : state) {
-    events += RunShardedEngine(shards, 1, /*deterministic=*/true);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(events));
-}
-BENCHMARK(BM_ShardedMerged)->Arg(8);
 
 // --------------------------------------------------------------------------
 // Flight recorder (DESIGN.md §13): the always-on ring must cost a handful
@@ -140,7 +48,7 @@ void BM_FlightRecorderRecord(benchmark::State& state) {
   int64_t ts = 0;
   for (auto _ : state) {
     for (int i = 0; i < 1024; i++) {
-      flight.Record(0, ts++, obs::FlightEventType::kVerbPosted,
+      flight.Record(ts++, obs::FlightEventType::kVerbPosted,
                     static_cast<uint32_t>(i), 2, 4096);
     }
     benchmark::DoNotOptimize(&flight);
@@ -159,8 +67,8 @@ void BM_SimulatorDispatchFlight(benchmark::State& state) {
       const bool record = every != 0 && i % every == 0;
       sim.Schedule(i, [&flight, &sim, record]() {
         if (record) {
-          flight.Record(0, sim.Now(), obs::FlightEventType::kVerbPosted, 1,
-                        2, 4096);
+          flight.Record(sim.Now(), obs::FlightEventType::kVerbPosted, 1, 2,
+                        4096);
         }
       });
     }

@@ -4,9 +4,7 @@
 // grows linearly in the number of connected clients; with the SRQ it is a
 // single arena sized for aggregate inbound rate — constant across the
 // sweep (asserted at 4096 clients). Shared-mode producers are used so any
-// number of clients can target one partition. The deployment runs on the
-// sharded engine (deterministic mode; see --sim_shards/--sim_threads and
-// the JSON context block).
+// number of clients can target one partition.
 //
 // Million-client sweep (DESIGN.md §14): the second table multiplexes
 // logical client streams over a handful of transport QPs (qp_mux +
@@ -96,7 +94,7 @@ Point RunPoint(int clients, bool use_srq) {
   p.clients = clients;
   p.srq = use_srq;
   p.ctrl_recv_buf_bytes = ctrl_bytes;
-  p.events = cluster.engine().events_processed();
+  p.events = cluster.sim().events_processed();
   p.records = static_cast<uint64_t>(clients) * kRecordsPerClient;
   p.host_ns_per_op =
       static_cast<double>(elapsed) / static_cast<double>(p.records);
@@ -223,7 +221,7 @@ MuxPoint RunMuxPoint(int logical_clients) {
   p.streams_opened = opened == nullptr ? 0 : opened->value();
   p.records = records;
   p.rejected = rejected == nullptr ? 0 : rejected->value();
-  p.events = cluster.engine().events_processed();
+  p.events = cluster.sim().events_processed();
   p.p99_ack_us = latencies.Percentile(99.0) / 1000.0;
   p.host_ms_total = static_cast<double>(elapsed) / 1e6;
   return p;
@@ -320,12 +318,8 @@ void Run(const std::string& json_path) {
       mux_points.back().meta_peak_bytes / 1024.0);
 
   if (!json_path.empty()) {
-    const harness::SimEngineOptions& eng = harness::sim_engine_options();
     std::ofstream out(json_path);
-    out << "{\n  \"context\": {\"engine\": \"sharded-deterministic\", "
-        << "\"sim_shards\": " << eng.shards
-        << ", \"sim_threads\": " << eng.threads << "},\n";
-    out << "  \"benchmarks\": [\n";
+    out << "{\n  \"benchmarks\": [\n";
     for (size_t i = 0; i < points.size(); i++) {
       const Point& p = points[i];
       out << "    {\"name\": \"client_scaling/" << p.clients << "/srq_"

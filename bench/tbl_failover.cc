@@ -189,7 +189,7 @@ void Run(const std::string& json_path) {
   deploy.broker.control_plane = true;
   harness::TestCluster cluster(deploy);
   KD_CHECK_OK(cluster.CreateTopic("f", kPartitions, kBrokers));
-  cluster.engine().RunUntil(Millis(30));  // controller election settles
+  cluster.sim().RunUntil(Millis(30));  // controller election settles
   KD_CHECK(cluster.cluster().ControllerBroker() ==
            cluster.cluster().broker(kVictim));
 
@@ -211,7 +211,7 @@ void Run(const std::string& json_path) {
                          [cl] { cl->cluster().KillBroker(kVictim); });
   cluster.RunUntilCount(&produced_done, kEndpoints);
   bool drained = false;
-  cluster.engine().RunUntilDone(
+  cluster.sim().RunUntilDone(
       [&] {
         drained = true;
         for (const EndpointStats& st : stats) {
@@ -221,10 +221,10 @@ void Run(const std::string& json_path) {
         }
         return drained;
       },
-      cluster.engine().Now() + Seconds(60));
+      cluster.sim().Now() + Seconds(60));
   KD_CHECK(drained) << "a consumer stalled before full delivery";
   stop_consumers = true;
-  cluster.engine().RunUntil(cluster.engine().Now() + Millis(50));
+  cluster.sim().RunUntil(cluster.sim().Now() + Millis(50));
 
   kafka::ControlPlane* cp =
       cluster.cluster().ControllerBroker()->control_plane();
@@ -273,12 +273,8 @@ void Run(const std::string& json_path) {
       static_cast<unsigned long long>(leader_moves));
 
   if (!json_path.empty()) {
-    const harness::SimEngineOptions& eng = harness::sim_engine_options();
     std::ofstream out(json_path);
-    out << "{\n  \"context\": {\"engine\": \"sharded-deterministic\", "
-        << "\"sim_shards\": " << eng.shards
-        << ", \"sim_threads\": " << eng.threads << "},\n";
-    out << "  \"benchmarks\": [\n";
+    out << "{\n  \"benchmarks\": [\n";
     for (int e = 0; e < kEndpoints; e++) {
       const EndpointStats& st = stats[e];
       const obs::TenantSlo* slo = cluster.fabric().obs().slo.Find(
@@ -301,7 +297,7 @@ void Run(const std::string& json_path) {
         << ", \"controller_term\": " << cp->term()
         << ", \"broker_deaths\": " << broker_deaths
         << ", \"leader_moves\": " << leader_moves
-        << ", \"sim_events\": " << cluster.engine().events_processed()
+        << ", \"sim_events\": " << cluster.sim().events_processed()
         << "}\n";
     out << "  ]\n}\n";
     std::printf("wrote %s\n", json_path.c_str());

@@ -792,8 +792,8 @@ sim::Co<void> KafkaDirectBroker::CommitRdmaWrite(RdmaFileState* fs,
     fs->next_expected_order++;
     fs->commit_event->Pulse();
     kd_obs_.produce_file_pos->Set(fs->next_commit_pos);
-    flight_->Record(flight_shard_, sim_.Now(), obs::FlightEventType::kCommit,
-                    fs->file_id, cur_len, fs->next_commit_pos);
+    flight_->Record(sim_.Now(), obs::FlightEventType::kCommit, fs->file_id,
+                    cur_len, fs->next_commit_pos);
     if (!fs->replica) {
       obs_.produce_bytes->Increment(cur_len);
       if (cur_qp != 0) {
@@ -1110,9 +1110,8 @@ void KafkaDirectBroker::GrantCredit(uint32_t qp_num, PartitionState* ps) {
   uint32_t& outstanding = Ext(*ps)->repl_credits_outstanding;
   outstanding += grant - 1;
   kd_obs_.credits_outstanding->Set(static_cast<int64_t>(outstanding));
-  flight_->Record(flight_shard_, sim_.Now(),
-                  obs::FlightEventType::kCreditGrant, qp_num, grant,
-                  static_cast<uint64_t>(msg.value));
+  flight_->Record(sim_.Now(), obs::FlightEventType::kCreditGrant, qp_num,
+                  grant, static_cast<uint64_t>(msg.value));
 }
 
 // ---------------------------------------------------------------------------
@@ -1160,8 +1159,7 @@ void KafkaDirectBroker::UpdateConsumeSlots(PartitionState& ps) {
     uint64_t readable = ReadablePosition(ps, grant->seg_index);
     WriteSlot(session->slot(grant->slot_index), readable, !seg.sealed());
     kd_obs_.notifications->Increment();
-    flight_->Record(flight_shard_, sim_.Now(),
-                    obs::FlightEventType::kNotification,
+    flight_->Record(sim_.Now(), obs::FlightEventType::kNotification,
                     static_cast<uint32_t>(grant->slot_index), 0, readable);
   }
 }
@@ -1331,9 +1329,8 @@ sim::Co<void> KafkaDirectBroker::RingPushLoop(RingConsumeGrant* g) {
       g->pushed += chunk;
       since_tail += chunk;
       kd_obs_.ring_pushed_bytes->Increment(chunk);
-      flight_->Record(flight_shard_, sim_.Now(),
-                      obs::FlightEventType::kRingPush, g->grant_ref,
-                      static_cast<uint32_t>(chunk), g->pushed);
+      flight_->Record(sim_.Now(), obs::FlightEventType::kRingPush,
+                      g->grant_ref, static_cast<uint32_t>(chunk), g->pushed);
       if (since_tail >= kRingTailIntervalBytes) {
         PublishRingTail(g, qp.get());
         since_tail = 0;
@@ -1384,9 +1381,8 @@ void KafkaDirectBroker::PublishRingTail(RingConsumeGrant* g,
     // The tail write is the ring protocol's entire notification traffic:
     // one counter tick per publish, amortized over many records.
     kd_obs_.notifications->Increment();
-    flight_->Record(flight_shard_, sim_.Now(),
-                    obs::FlightEventType::kNotification, g->grant_ref, 1,
-                    g->pushed);
+    flight_->Record(sim_.Now(), obs::FlightEventType::kNotification,
+                    g->grant_ref, 1, g->pushed);
   }
 }
 

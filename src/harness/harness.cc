@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "obs/shard_metrics.h"
 #include "sim/awaitable.h"
 
 namespace kafkadirect {
@@ -11,7 +10,6 @@ namespace harness {
 
 namespace {
 ObsOptions g_obs_options;
-SimEngineOptions g_engine_options;
 }  // namespace
 
 void InitObsFromArgs(int argc, char** argv) {
@@ -20,8 +18,6 @@ void InitObsFromArgs(int argc, char** argv) {
   const std::string kSlo = "--slo_json=";
   const std::string kFlight = "--flight_dump=";
   const std::string kMonitor = "--monitor_period=";
-  const std::string kThreads = "--sim_threads=";
-  const std::string kShards = "--sim_shards=";
   for (int i = 1; i < argc; i++) {
     std::string arg = argv[i];
     if (arg.rfind(kMetrics, 0) == 0) {
@@ -37,18 +33,11 @@ void InitObsFromArgs(int argc, char** argv) {
           std::max<long long>(0, std::atoll(arg.c_str() + kMonitor.size()));
     } else if (arg == "--strict") {
       g_obs_options.strict = true;
-    } else if (arg.rfind(kThreads, 0) == 0) {
-      g_engine_options.threads =
-          std::max(1, std::atoi(arg.c_str() + kThreads.size()));
-    } else if (arg.rfind(kShards, 0) == 0) {
-      g_engine_options.shards =
-          std::max(1, std::atoi(arg.c_str() + kShards.size()));
     }
   }
 }
 
 const ObsOptions& obs_options() { return g_obs_options; }
-const SimEngineOptions& sim_engine_options() { return g_engine_options; }
 
 const char* SystemName(SystemKind kind) {
   switch (kind) {
@@ -60,15 +49,11 @@ const char* SystemName(SystemKind kind) {
   return "?";
 }
 
-TestCluster::TestCluster(DeploymentConfig config)
-    : config_(config),
-      engine_(sim::ShardedConfig{
-          .num_shards = static_cast<uint32_t>(
-              config.sim_shards > 0 ? config.sim_shards
-                                    : sim_engine_options().shards),
-          .num_threads = 1,
-          .lookahead_ns = CostModel{}.ShardLookaheadNs(),
-          .deterministic = true}) {
+TestCluster::TestCluster(DeploymentConfig config) : config_(config) {
+  KD_CHECK(config.sim_shards == 0 || config.sim_shards == 1)
+      << "DeploymentConfig::sim_shards must be 0 or 1 (a deployment runs on "
+         "one simulator), got "
+      << config.sim_shards;
   fabric_ = std::make_unique<net::Fabric>(sim(), cost_);
   // Enable tracing before any broker/client defines tracks or records
   // spans, so a --trace_json run captures the full deployment lifecycle.
@@ -76,8 +61,6 @@ TestCluster::TestCluster(DeploymentConfig config)
     fabric_->obs().tracer.Enable();
   }
   obs::Observability& ob = fabric_->obs();
-  // One flight-recorder ring per engine shard, sized before any traffic.
-  ob.flight.Configure(engine_.num_shards());
   if (g_obs_options.monitor_period_ns > 0 || g_obs_options.strict) {
     obs::InstallStandardWatchers(ob.monitor);
     ob.monitor.set_strict(g_obs_options.strict);
@@ -88,8 +71,7 @@ TestCluster::TestCluster(DeploymentConfig config)
     ob.monitor.set_violation_hook(
         [fab](const obs::Monitor::Violation& v) {
           obs::Observability& o = fab->obs();
-          o.flight.Record(0, v.at_ns, obs::FlightEventType::kViolation, 0, 0,
-                          0);
+          o.flight.Record(v.at_ns, obs::FlightEventType::kViolation, 0, 0, 0);
           std::string path = g_obs_options.flight_dump.empty()
                                  ? "kd_flight_dump.json"
                                  : g_obs_options.flight_dump;
@@ -124,21 +106,28 @@ TestCluster::~TestCluster() {
   obs::Observability& ob = fabric_->obs();
   // Coroutine-aware teardown (DESIGN.md §14): stop the periodic monitor
   // tick, walk every broker's Shutdown() (QP disconnects, listener/channel
-  // closes, CQ shutdowns), then drain the engine so every woken coroutine
+  // closes, CQ shutdowns), then drain the simulator so every woken coroutine
   // frame runs to completion and frees itself. Without this walk, frames
   // parked on never-signalled channels/CQs leak at process exit.
   ob.monitor.StopTicking();
   cluster_->Shutdown();
-  engine_.RunUntil(engine_.Now() + Seconds(2));
+  sim_.RunUntil(sim_.Now() + Seconds(2));
   // Final invariant sweep at teardown — catches end-state violations even
   // when no tick landed after the last datapath event. Runs before the
   // file exports so a strict abort still leaves the flight dump behind
   // (via the violation hook).
   if (ob.monitor.num_watchers() > 0) {
-    ob.monitor.CheckNow(ob.metrics, engine_.Now());
+    ob.monitor.CheckNow(ob.metrics, sim_.Now());
   }
   if (!g_obs_options.metrics_json.empty()) {
-    obs::ExportShardStats(ob.metrics, engine_);
+    // A pending-event peak that grows with the record count means timers
+    // are piling up (DESIGN.md §8).
+    ob.metrics.GetGauge("sim.events")
+        ->Set(static_cast<int64_t>(sim_.events_processed()));
+    ob.metrics.GetGauge("sim.pending_events")
+        ->Set(static_cast<int64_t>(sim_.pending_events()));
+    ob.metrics.GetGauge("sim.pending_events_peak")
+        ->Set(static_cast<int64_t>(sim_.pending_events_peak()));
     KD_CHECK(ob.metrics.WriteJsonFile(g_obs_options.metrics_json))
         << "cannot write " << g_obs_options.metrics_json;
   }
@@ -167,14 +156,14 @@ rdma::Rnic& TestCluster::ClientRnic(net::NodeId node) {
 }
 
 void TestCluster::RunToFlag(const bool* flag, sim::TimeNs deadline) {
-  engine_.RunUntilDone([flag]() { return *flag; }, engine_.Now() + deadline);
+  sim_.RunUntilDone([flag]() { return *flag; }, sim_.Now() + deadline);
   KD_CHECK(*flag) << "workload did not finish before the deadline";
 }
 
 void TestCluster::RunUntilCount(const int* counter, int target,
                                 sim::TimeNs deadline) {
-  engine_.RunUntilDone([counter, target]() { return *counter >= target; },
-                       engine_.Now() + deadline);
+  sim_.RunUntilDone([counter, target]() { return *counter >= target; },
+                    sim_.Now() + deadline);
   KD_CHECK(*counter >= target) << "workload did not finish: " << *counter
                                << "/" << target;
 }
@@ -502,9 +491,9 @@ WorkloadResult RunEndToEndWorkload(TestCluster& cluster, SystemKind kind,
                               &consumed));
   // Wait for the consumer AND every producer (acks may land just after the
   // last delivery) so no coroutine is torn down mid-flight.
-  cluster.engine().RunUntilDone(
+  cluster.sim().RunUntilDone(
       [&] { return consumed >= total && run.done == options.producers; },
-      cluster.engine().Now() + Seconds(3600));
+      cluster.sim().Now() + Seconds(3600));
   KD_CHECK(consumed >= total && run.done == options.producers)
       << "end-to-end workload did not finish: consumed=" << consumed << "/"
       << total << " producers=" << run.done << "/" << options.producers;

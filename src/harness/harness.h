@@ -17,9 +17,15 @@
 #include "kafka/consumer.h"
 #include "kafka/producer.h"
 #include "osu/osu_transport.h"
-#include "sim/sharded.h"
+#include "sim/simulator.h"
 
 namespace kafkadirect {
+namespace sim {
+/// The deployment simulator's former name, still spelled out by
+/// StopTraffic in bench/kdbench/stream_workloads.cc.
+using ShardedSimulator = Simulator;
+}  // namespace sim
+
 namespace harness {
 
 /// Which system a workload runs against (the lines in the paper's plots).
@@ -40,11 +46,8 @@ struct DeploymentConfig {
   /// Record spans even without --trace_json (used by tests; the tracer
   /// must be enabled before brokers/QPs are created so tracks exist).
   bool enable_tracing = false;
-  /// Shard count for the embedded simulation engine; 0 = take the
-  /// --sim_shards command-line flag (default 1). The harness always runs
-  /// its engine in deterministic (merged) mode so workload predicates
-  /// evaluate at well-defined points; parallel execution is exercised by
-  /// the engine benches and tests (bench/simcore_gbench.cc).
+  /// Must be 0 or 1: a deployment runs on one simulator. The field stays
+  /// because Deployment() in bench/kdbench/workload.cc sets it to 1.
   int sim_shards = 0;
 };
 
@@ -66,19 +69,11 @@ struct ObsOptions {
   bool strict = false;
 };
 
-/// Simulation-engine knobs from the command line (DESIGN.md §11).
-struct SimEngineOptions {
-  int threads = 1;  // --sim_threads=<n>: worker threads for parallel mode
-  int shards = 1;   // --sim_shards=<n>: event-queue domains
-};
-
 /// Parses --metrics_json= / --trace_json= / --slo_json= / --flight_dump= /
-/// --monitor_period= / --strict / --sim_threads= / --sim_shards= into the
-/// process-wide options. Unrecognized arguments are ignored (benches keep
-/// their own flags).
+/// --monitor_period= / --strict into the process-wide options.
+/// Unrecognized arguments are ignored (benches keep their own flags).
 void InitObsFromArgs(int argc, char** argv);
 const ObsOptions& obs_options();
-const SimEngineOptions& sim_engine_options();
 
 /// A fully wired simulated deployment: fabric + TCP stack + brokers (all
 /// KafkaDirectBroker so every datapath is available) + an OSU listener per
@@ -111,11 +106,10 @@ class TestCluster {
   void RunUntilCount(const int* counter, int target,
                      sim::TimeNs deadline = Seconds(3600));
 
-  /// The default event-queue domain (shard 0) — the simulator every
-  /// deployment entity schedules on, exactly as before the engine existed.
-  sim::Simulator& sim() { return engine_.shard(0); }
-  /// The sharded engine driving the deployment (deterministic mode).
-  sim::ShardedSimulator& engine() { return engine_; }
+  /// The simulator every deployment entity schedules on.
+  sim::Simulator& sim() { return sim_; }
+  /// Another name for sim(), which the bench/kdbench workloads call.
+  sim::Simulator& engine() { return sim_; }
   CostModel& cost() { return cost_; }  // mutate BEFORE constructing clients
   net::Fabric& fabric() { return *fabric_; }
   tcpnet::Network& tcp() { return *tcpnet_; }
@@ -123,7 +117,7 @@ class TestCluster {
 
  private:
   DeploymentConfig config_;
-  sim::ShardedSimulator engine_;
+  sim::Simulator sim_;
   CostModel cost_;
   std::unique_ptr<net::Fabric> fabric_;
   std::unique_ptr<tcpnet::Network> tcpnet_;

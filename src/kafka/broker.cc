@@ -48,7 +48,6 @@ Broker::Broker(sim::Simulator& sim, net::Fabric& fabric, tcpnet::Network& tcp,
       ob.metrics.GetCounter(prefix + "fetch.bytes_returned");
   obs_.hwm_offset = ob.metrics.GetGauge(prefix + "hwm.offset");
   flight_ = &ob.flight;
-  flight_shard_ = sim_.shard_id();
   tracer_ = &ob.tracer;
   if (tracer_->enabled()) {
     const std::string proc = "broker-" + std::to_string(config_.id);
@@ -397,8 +396,7 @@ void Broker::AdvanceHwm(PartitionState* ps) {
     ps->log.SetHighWatermark(hwm);
     obs_.hwm_updates->Increment();
     obs_.hwm_offset->Set(hwm);
-    flight_->Record(flight_shard_, sim_.Now(),
-                    obs::FlightEventType::kHwmAdvance,
+    flight_->Record(sim_.Now(), obs::FlightEventType::kHwmAdvance,
                     static_cast<uint32_t>(config_.id),
                     static_cast<uint32_t>(ps->tp.partition),
                     static_cast<uint64_t>(hwm));
@@ -454,8 +452,7 @@ sim::Co<void> Broker::HandleFetch(Request req) {
     if (it != ps->follower_leo.end() && freq.offset > it->second) {
       it->second = freq.offset;
       obs_.isr_updates->Increment();
-      flight_->Record(flight_shard_, sim_.Now(),
-                      obs::FlightEventType::kIsrUpdate,
+      flight_->Record(sim_.Now(), obs::FlightEventType::kIsrUpdate,
                       static_cast<uint32_t>(config_.id),
                       static_cast<uint32_t>(freq.replica_id),
                       static_cast<uint64_t>(freq.offset));

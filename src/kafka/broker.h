@@ -394,10 +394,9 @@ class Broker {
     obs::Gauge* hwm_offset = nullptr;
   };
   ObsHandles obs_;
-  /// Flight recorder (always-on black box) + this broker's shard, for
-  /// breadcrumbs on HWM advances, ISR changes, commits, and credit grants.
+  /// Flight recorder (always-on black box), for breadcrumbs on HWM
+  /// advances, ISR changes, commits, and credit grants.
   obs::FlightRecorder* flight_ = nullptr;
-  uint32_t flight_shard_ = 0;
   obs::SpanTracer* tracer_;
   obs::TrackId net_track_ = 0;     // network processors ("net")
   obs::TrackId queue_track_ = 0;   // request queue waits

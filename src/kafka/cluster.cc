@@ -1,7 +1,6 @@
 #include "kafka/cluster.h"
 
 #include "kafka/controller.h"
-#include "sim/sharded.h"
 
 namespace kafkadirect {
 namespace kafka {
@@ -17,14 +16,6 @@ Status Cluster::Start() {
       broker = std::make_unique<Broker>(sim_, fabric_, tcp_, cfg);
     }
     KD_RETURN_IF_ERROR(broker->Start());
-    // Shard-affinity annotation (DESIGN.md §11): pin the broker's node to
-    // an event-queue domain — broker id wrapped to the engine's shard
-    // count. Standalone simulators have a single implicit domain.
-    uint32_t shard = 0;
-    if (sim::ShardedSimulator* engine = sim_.engine()) {
-      shard = static_cast<uint32_t>(i) % engine->num_shards();
-    }
-    fabric_.BindNodeShard(broker->node(), shard);
     brokers_.push_back(std::move(broker));
   }
   killed_.assign(brokers_.size(), false);

@@ -200,12 +200,6 @@ struct CostModel {
   sim::TimeNs CopyCost(uint64_t n) const {
     return static_cast<sim::TimeNs>(kafka.copy_ns_per_byte * n);
   }
-
-  /// Conservative lookahead window for the sharded simulator
-  /// (sim/sharded.h): nothing crosses between nodes — and therefore
-  /// between shard domains — in less than one propagation delay, so
-  /// shards may run this far ahead of each other without synchronizing.
-  sim::TimeNs ShardLookaheadNs() const { return link.propagation_ns; }
 };
 
 }  // namespace kafkadirect

@@ -31,20 +31,8 @@ class Fabric {
 
   /// Registers a machine on the fabric.
   NodeId AddNode(std::string name) {
-    nodes_.push_back(Node{std::move(name), 0, 0, 0, 0});
+    nodes_.push_back(Node{std::move(name), 0, 0, 0});
     return static_cast<NodeId>(nodes_.size() - 1);
-  }
-
-  /// Pins a node to a simulator shard domain (sim/sharded.h). Purely
-  /// metadata at the fabric level: entities consult it when choosing the
-  /// event queue to schedule a node's work on. Default is shard 0.
-  void BindNodeShard(NodeId id, uint32_t shard) {
-    KD_DCHECK(id < nodes_.size());
-    nodes_[id].shard = shard;
-  }
-  uint32_t NodeShard(NodeId id) const {
-    KD_DCHECK(id < nodes_.size());
-    return nodes_[id].shard;
   }
 
   size_t num_nodes() const { return nodes_.size(); }
@@ -107,7 +95,6 @@ class Fabric {
     sim::TimeNs egress_busy_until;
     sim::TimeNs ingress_busy_until;
     uint64_t bytes_sent;
-    uint32_t shard;  // simulator shard affinity (BindNodeShard)
   };
 
   sim::Simulator& sim_;

@@ -23,62 +23,22 @@ const char* FlightEventTypeName(FlightEventType type) {
   return "unknown";
 }
 
-void FlightRecorder::Configure(uint32_t num_shards, uint32_t capacity) {
-  if (num_shards == 0) num_shards = 1;
+void FlightRecorder::Configure(uint32_t capacity) {
   if (capacity < 2) capacity = 2;
   capacity = std::bit_ceil(capacity);
-  rings_.clear();
-  rings_.resize(num_shards);
-  for (Ring& r : rings_) {
-    r.slots.resize(capacity);
-    r.mask = capacity - 1;
-    r.head = 0;
-  }
+  slots_.assign(capacity, FlightEvent{});
+  mask_ = capacity - 1;
+  head_ = 0;
 }
 
-uint64_t FlightRecorder::recorded() const {
-  uint64_t n = 0;
-  for (const Ring& r : rings_) n += r.head;
-  return n;
-}
-
-uint64_t FlightRecorder::dropped() const {
-  uint64_t n = 0;
-  for (const Ring& r : rings_) {
-    uint64_t cap = r.slots.size();
-    if (r.head > cap) n += r.head - cap;
-  }
-  return n;
-}
-
-std::vector<FlightEvent> FlightRecorder::Snapshot(uint32_t shard) const {
+std::vector<FlightEvent> FlightRecorder::Snapshot() const {
+  const uint64_t n = std::min<uint64_t>(head_, slots_.size());
   std::vector<FlightEvent> out;
-  if (shard >= rings_.size()) return out;
-  const Ring& r = rings_[shard];
-  uint64_t cap = r.slots.size();
-  uint64_t n = std::min(r.head, cap);
   out.reserve(n);
-  for (uint64_t i = r.head - n; i < r.head; i++) {
-    out.push_back(r.slots[i & r.mask]);
+  for (uint64_t i = head_ - n; i < head_; i++) {
+    out.push_back(slots_[i & mask_]);
   }
   return out;
-}
-
-std::vector<FlightEvent> FlightRecorder::MergedSnapshot() const {
-  std::vector<FlightEvent> all;
-  for (uint32_t s = 0; s < rings_.size(); s++) {
-    std::vector<FlightEvent> part = Snapshot(s);
-    all.insert(all.end(), part.begin(), part.end());
-  }
-  // Stable sort keeps each ring's own (oldest-to-newest) order for equal
-  // timestamps; ties across shards break by shard id. Deterministic for a
-  // deterministic schedule.
-  std::stable_sort(all.begin(), all.end(),
-                   [](const FlightEvent& x, const FlightEvent& y) {
-                     if (x.ts_ns != y.ts_ns) return x.ts_ns < y.ts_ns;
-                     return x.shard < y.shard;
-                   });
-  return all;
 }
 
 namespace {
@@ -97,22 +57,19 @@ void FlightRecorder::WriteChromeTrace(std::ostream& os) const {
     os << (first ? "" : ",\n");
     first = false;
   };
-  for (uint32_t s = 0; s < rings_.size(); s++) {
-    sep();
-    os << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " << (s + 1)
-       << ", \"args\": {\"name\": \"flight-shard" << s << "\"}}";
-    sep();
-    os << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": " << (s + 1)
-       << ", \"tid\": 1, \"args\": {\"name\": \"datapath\"}}";
-  }
-  for (const FlightEvent& e : MergedSnapshot()) {
+  sep();
+  os << "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, "
+        "\"args\": {\"name\": \"flight-recorder\"}}";
+  sep();
+  os << "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
+        "\"tid\": 1, \"args\": {\"name\": \"datapath\"}}";
+  for (const FlightEvent& e : Snapshot()) {
     sep();
     os << "{\"name\": \"" << FlightEventTypeName(e.type)
        << "\", \"ph\": \"i\", \"s\": \"t\", \"ts\": ";
     AppendTs(os, e.ts_ns);
-    os << ", \"pid\": " << (static_cast<uint32_t>(e.shard) + 1)
-       << ", \"tid\": 1, \"args\": {\"a\": " << e.a << ", \"b\": " << e.b
-       << ", \"c\": " << e.c << "}}";
+    os << ", \"pid\": 1, \"tid\": 1, \"args\": {\"a\": " << e.a
+       << ", \"b\": " << e.b << ", \"c\": " << e.c << "}}";
   }
   os << "\n]}\n";
 }

@@ -24,8 +24,6 @@ struct Observability {
   SpanTracer tracer;
   SloTracker slo;
   Monitor monitor;
-  // Defaults to one shard; the harness re-Configures to the engine's shard
-  // count before any traffic flows.
   FlightRecorder flight;
 };
 

@@ -133,7 +133,6 @@ QueuePair::QueuePair(Rnic* rnic, std::shared_ptr<CompletionQueue> send_cq,
   sig_counters_.rnr_events = ob.metrics.GetCounter("kd.rdma.rnr_events");
   postlist_hist_ = ob.metrics.GetHistogram("kd.rdma.postlist_len");
   flight_ = &ob.flight;
-  flight_shard_ = sim_.shard_id();
   tracer_ = &ob.tracer;
   if (tracer_->enabled()) {
     trace_track_ =
@@ -204,9 +203,8 @@ Status QueuePair::PostSend(const WorkRequest& wr) {
   sig_counters_.wrs_posted->Increment();
   if (queued.signaled) sig_counters_.wrs_signaled->Increment();
   if (!queued.chained) sig_counters_.doorbells->Increment();
-  flight_->Record(flight_shard_, sim_.Now(), obs::FlightEventType::kVerbPosted,
-                  qp_num_, static_cast<uint32_t>(queued.opcode),
-                  queued.length);
+  flight_->Record(sim_.Now(), obs::FlightEventType::kVerbPosted, qp_num_,
+                  static_cast<uint32_t>(queued.opcode), queued.length);
   // Async span: post -> fabric -> initiator completion. Ends in
   // CompleteInitiator when the CQE (or flush) is delivered.
   queued.span_id = tracer_->AsyncBegin(trace_track_, SpanName(queued.opcode));
@@ -299,8 +297,8 @@ bool QueuePair::TakeRecv(RecvRequest* out) {
 void QueuePair::FailRnr(const WorkRequest& wr, QueuePair* initiator,
                         Opcode rop, sim::TimeNs prop) {
   sig_counters_.rnr_events->Increment();
-  flight_->Record(flight_shard_, sim_.Now(), obs::FlightEventType::kRnr,
-                  qp_num_, static_cast<uint32_t>(wr.opcode), 0);
+  flight_->Record(sim_.Now(), obs::FlightEventType::kRnr, qp_num_,
+                  static_cast<uint32_t>(wr.opcode), 0);
   if (srq_ != nullptr) {
     // SRQ drained: the receiver's CQ sees the RNR error (its QP is what
     // breaks), and the initiator's WR is flushed with the teardown.

@@ -190,9 +190,8 @@ class QueuePair : public std::enable_shared_from_this<QueuePair> {
   obs::SpanTracer* tracer_;
   obs::TrackId trace_track_ = 0;
   // Flight recorder (always-on black box): every posted verb and RNR
-  // teardown leaves a breadcrumb in the per-shard ring.
+  // teardown leaves a breadcrumb in the ring.
   obs::FlightRecorder* flight_ = nullptr;
-  uint32_t flight_shard_ = 0;
 };
 
 /// Connects two INIT-state QPs into an RC connection and starts their

@@ -1,7 +1,6 @@
 #include "sim/simulator.h"
 
 #include "common/logging.h"
-#include "sim/sharded.h"
 
 namespace kafkadirect {
 namespace sim {
@@ -113,26 +112,6 @@ void Simulator::RunUntilDone(const std::function<bool()>& done,
     InlineFunction fn = TakeFn(slot);
     fn();
   }
-}
-
-bool Simulator::ExecuteNextBefore(TimeNs horizon) {
-  if (stopped_ || Idle()) return false;
-  const size_t i = Front();
-  if (FrontTime(i) >= horizon) return false;
-  const auto [time, slot] = PopFront(i);
-  KD_DCHECK(time >= now_);
-  now_ = time;
-  events_processed_++;
-  InlineFunction fn = TakeFn(slot);
-  fn();
-  return true;
-}
-
-void Simulator::ScheduleCross(uint32_t dst_shard, TimeNs delay,
-                              InlineFunction fn) {
-  KD_CHECK(engine_ != nullptr)
-      << "ScheduleCross on a standalone simulator (no owning engine)";
-  engine_->CrossSend(shard_id_, dst_shard, delay, std::move(fn));
 }
 
 void Simulator::RunUntil(TimeNs time) {

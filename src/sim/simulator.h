@@ -46,8 +46,6 @@ namespace sim {
 /// Virtual time in nanoseconds since simulation start.
 using TimeNs = int64_t;
 
-class ShardedSimulator;
-
 /// Names one scheduled event, for Simulator::Cancel. A default-constructed
 /// id names no event. Once the event has run or been cancelled the id is
 /// stale, and cancelling it does nothing.
@@ -58,27 +56,19 @@ struct EventId {
 
 class Simulator {
  public:
-  /// `register_log_clock` is false for shards owned by a ShardedSimulator
-  /// (a single global log-clock slot cannot follow N concurrent shards;
-  /// the engine registers shard 0 only).
-  explicit Simulator(bool register_log_clock = true)
-      : log_clock_registered_(register_log_clock) {
+  Simulator() {
     std::memset(bucket_head_, 0xFF, sizeof(bucket_head_));  // all kNil
     overflow_.reserve(kInitialEventCapacity);
     slots_.reserve(kInitialEventCapacity);
     free_slots_.reserve(kInitialEventCapacity);
     // KD_LOG lines carry this simulator's virtual timestamp while it lives.
-    if (log_clock_registered_) {
-      SetLogClock(
-          [](const void* ctx) {
-            return static_cast<const Simulator*>(ctx)->Now();
-          },
-          this);
-    }
+    SetLogClock(
+        [](const void* ctx) {
+          return static_cast<const Simulator*>(ctx)->Now();
+        },
+        this);
   }
-  ~Simulator() {
-    if (log_clock_registered_) ClearLogClock(this);
-  }
+  ~Simulator() { ClearLogClock(this); }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -115,12 +105,7 @@ class Simulator {
   void RunUntilDone(const std::function<bool()>& done, TimeNs deadline);
 
   /// Makes Run()/RunUntil() return after the current event completes.
-  /// Inside a ShardedSimulator, stopping one shard stops the whole engine
-  /// at the next epoch boundary.
   void Stop() { stopped_ = true; }
-
-  /// True after Stop() until the next Run*/engine pass clears it.
-  bool stopped() const { return stopped_; }
 
   /// True if no events are pending.
   bool Idle() const { return pending_ == 0; }
@@ -137,42 +122,7 @@ class Simulator {
   /// tests).
   size_t heap_entries() const { return overflow_.size(); }
 
-  // --- Sharded-engine interface (sim/sharded.h, DESIGN.md §11) ----------
-  // These exist so a ShardedSimulator can drive many Simulator instances
-  // as shards without touching the single-threaded hot path above.
-
-  /// Sentinel returned by NextEventTime() when no event is pending.
-  static constexpr TimeNs kNoEventTime = INT64_MAX;
-
-  /// Timestamp of the earliest pending event, or kNoEventTime when idle.
-  TimeNs NextEventTime() { return Idle() ? kNoEventTime : PeekTime(); }
-
-  /// Pops and runs the earliest event if its timestamp is < `horizon` and
-  /// the simulator is neither idle nor stopped. Returns whether an event
-  /// ran. This is one iteration of Run() with an exclusive time bound —
-  /// the epoch-execution primitive of the sharded engine.
-  bool ExecuteNextBefore(TimeNs horizon);
-
-  /// Advances the clock without running events (epoch/RunUntil closure).
-  /// Callers must ensure no pending event is earlier than `time`.
-  void AdvanceTo(TimeNs time) {
-    if (time > now_) now_ = time;
-  }
-
-  /// Owning engine and shard index; engine() is nullptr for a standalone
-  /// simulator and shard_id() is then 0.
-  ShardedSimulator* engine() const { return engine_; }
-  uint32_t shard_id() const { return shard_id_; }
-
-  /// Schedules `fn` on shard `dst_shard` of the owning engine, `delay` ns
-  /// after this shard's Now(). Remote deliveries travel through the
-  /// engine's mailboxes and the delay is raised to the engine lookahead;
-  /// dst_shard == shard_id() degenerates to a plain Schedule(). Requires
-  /// an owning engine.
-  void ScheduleCross(uint32_t dst_shard, TimeNs delay, InlineFunction fn);
-
  private:
-  friend class ShardedSimulator;
   // Wheel window width in nanoseconds (one bucket each). Covers the vast
   // majority of scheduling distances (packet hops, CPU costs, zero-delay
   // coroutine resumptions); longer timers take the overflow heap.
@@ -339,9 +289,6 @@ class Simulator {
     return overflow_.front().time;
   }
 
-  /// Earliest pending timestamp. Requires !Idle().
-  TimeNs PeekTime() { return FrontTime(Front()); }
-
   /// Removes the front event, given `i = Front()`; returns its
   /// (time, slot). The run loops peek and pop with one Front() call.
   std::pair<TimeNs, uint32_t> PopFront(size_t i) {
@@ -363,11 +310,6 @@ class Simulator {
   size_t dead_wheel_ = 0;
   size_t dead_heap_ = 0;
   bool stopped_ = false;
-  bool log_clock_registered_ = true;
-
-  // Set by ShardedSimulator on construction when this simulator is a shard.
-  ShardedSimulator* engine_ = nullptr;
-  uint32_t shard_id_ = 0;
 
   // Timing wheel over [wheel_base_, wheel_base_ + kWheelSize). Buckets are
   // singly-linked FIFO lists through slots_; bitmap_ tracks occupancy.

@@ -5,8 +5,7 @@
 //     with produces in flight. Exactly one new leader emerges from the
 //     ISR, no acknowledged record is lost, nothing is delivered twice,
 //     and the consumer group rebalances and resumes from the replicated
-//     committed offset. The digest is identical across engine shard
-//     counts (deterministic merged mode).
+//     committed offset. A second run reproduces the digest exactly.
 //   - Zero-copy epoch fencing: a produce grant taken under an old leader
 //     epoch must not commit after leadership moves.
 //   - Consumer re-grant: RdmaConsumer::Resubscribe resumes delivery at
@@ -246,15 +245,14 @@ sim::Co<void> GroupConsume(harness::TestCluster* cluster, TopicPartitionId tp,
   }
 }
 
-ScenarioDigest RunLeaderKillScenario(int sim_shards) {
+ScenarioDigest RunLeaderKillScenario() {
   harness::DeploymentConfig deploy;
   deploy.num_brokers = 3;
-  deploy.sim_shards = sim_shards;
   deploy.broker.control_plane = true;
   harness::TestCluster cluster(deploy);
   KD_CHECK_OK(cluster.CreateTopic("t", 1, 3));
   TopicPartitionId tp{"t", 0};
-  cluster.engine().RunUntil(Millis(30));  // controller election settles
+  cluster.sim().RunUntil(Millis(30));  // controller election settles
   KD_CHECK(cluster.cluster().ControllerBroker() ==
            cluster.cluster().broker(0));
 
@@ -287,17 +285,17 @@ ScenarioDigest RunLeaderKillScenario(int sim_shards) {
   cluster.RunToFlag(&produced, Seconds(60));
   // Drain the consumer to the end of the produced sequence.
   bool drained = false;
-  cluster.engine().RunUntilDone(
+  cluster.sim().RunUntilDone(
       [&] {
         drained = consumer_state.delivered >=
                   static_cast<uint64_t>(kTotalRecords);
         return drained;
       },
-      cluster.engine().Now() + Seconds(60));
+      cluster.sim().Now() + Seconds(60));
   KD_CHECK(drained) << "consumer stalled at " << consumer_state.delivered;
   stop_consumer = true;
   member.Stop();
-  cluster.engine().RunUntil(cluster.engine().Now() + Millis(100));
+  cluster.sim().RunUntil(cluster.sim().Now() + Millis(100));
 
   // Exactly one alive broker leads the partition.
   int leaders = 0;
@@ -333,7 +331,7 @@ ScenarioDigest RunLeaderKillScenario(int sim_shards) {
 }
 
 TEST(FailoverTest, LeaderKillMidTrafficExactlyOnce) {
-  ScenarioDigest digest = RunLeaderKillScenario(/*sim_shards=*/1);
+  ScenarioDigest digest = RunLeaderKillScenario();
   // The lowest surviving ISR member wins the LEO tie-break chain.
   EXPECT_EQ(digest.new_leader, 1);
   EXPECT_GE(digest.controller_term, 2);
@@ -345,18 +343,21 @@ TEST(FailoverTest, LeaderKillMidTrafficExactlyOnce) {
   EXPECT_EQ(digest.final_committed, kTotalRecords);
 }
 
-TEST(FailoverTest, LeaderKillDigestIdenticalAcrossShardCounts) {
-  ScenarioDigest one = RunLeaderKillScenario(/*sim_shards=*/1);
-  ScenarioDigest four = RunLeaderKillScenario(/*sim_shards=*/4);
-  EXPECT_TRUE(one == four)
-      << "shards=1: leader=" << one.new_leader << " term="
-      << one.controller_term << " retries=" << one.produce_retries
-      << " delivered=" << one.delivered << " hash=" << one.delivered_hash
-      << " committed=" << one.final_committed
-      << " | shards=4: leader=" << four.new_leader << " term="
-      << four.controller_term << " retries=" << four.produce_retries
-      << " delivered=" << four.delivered << " hash=" << four.delivered_hash
-      << " committed=" << four.final_committed;
+// The whole deployment, control plane included, is deterministic: a
+// second run of the same scenario in the same process (fresh QP numbers,
+// warm allocator) reproduces the first digest exactly.
+TEST(FailoverTest, LeaderKillDigestIdenticalAcrossRuns) {
+  ScenarioDigest first = RunLeaderKillScenario();
+  ScenarioDigest second = RunLeaderKillScenario();
+  EXPECT_TRUE(first == second)
+      << "first: leader=" << first.new_leader << " term="
+      << first.controller_term << " retries=" << first.produce_retries
+      << " delivered=" << first.delivered << " hash=" << first.delivered_hash
+      << " committed=" << first.final_committed
+      << " | second: leader=" << second.new_leader << " term="
+      << second.controller_term << " retries=" << second.produce_retries
+      << " delivered=" << second.delivered << " hash="
+      << second.delivered_hash << " committed=" << second.final_committed;
 }
 
 sim::Co<void> FencedProduceBody(harness::TestCluster* cluster,

@@ -101,6 +101,14 @@ TEST(HarnessTest, SystemNamesAreStable) {
   EXPECT_STREQ(SystemName(SystemKind::kKdShared), "KD-Shared");
 }
 
+TEST(HarnessTest, DeploymentRunsOnOneSimulator) {
+  TestCluster cluster(DeploymentConfig{});
+  EXPECT_EQ(&cluster.engine(), &cluster.sim());
+  DeploymentConfig sharded;
+  sharded.sim_shards = 4;
+  EXPECT_DEATH(TestCluster{sharded}, "sim_shards");
+}
+
 TEST(HarnessTest, PaperRecordSizesDoubling) {
   auto sizes = PaperRecordSizes(32, 1024);
   EXPECT_EQ(sizes, (std::vector<size_t>{32, 64, 128, 256, 512, 1024}));

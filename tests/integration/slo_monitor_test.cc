@@ -184,23 +184,20 @@ TEST(MonitorIntegrationTest, CleanRunStaysSilent) {
 struct NormalizedEvent {
   int64_t ts_ns;
   uint8_t type;
-  uint8_t shard;
   uint32_t a;
   uint32_t b;
   uint64_t c;
   bool operator==(const NormalizedEvent& o) const {
-    return ts_ns == o.ts_ns && type == o.type && shard == o.shard &&
-           a == o.a && b == o.b && c == o.c;
+    return ts_ns == o.ts_ns && type == o.type && a == o.a && b == o.b &&
+           c == o.c;
   }
 };
 
 std::vector<NormalizedEvent> NormalizedFlight(TestCluster& cluster) {
   std::map<uint32_t, uint32_t> qp_map;
   std::vector<NormalizedEvent> out;
-  for (const obs::FlightEvent& e : cluster.fabric().obs().flight
-           .MergedSnapshot()) {
-    NormalizedEvent n{e.ts_ns, static_cast<uint8_t>(e.type), e.shard, e.a,
-                      e.b, e.c};
+  for (const obs::FlightEvent& e : cluster.fabric().obs().flight.Snapshot()) {
+    NormalizedEvent n{e.ts_ns, static_cast<uint8_t>(e.type), e.a, e.b, e.c};
     if (e.type == obs::FlightEventType::kVerbPosted ||
         e.type == obs::FlightEventType::kRnr ||
         e.type == obs::FlightEventType::kCreditGrant) {
@@ -239,7 +236,7 @@ TEST(FlightRecorderIntegrationTest, DatapathEventsAreCaptured) {
   obs::FlightRecorder& flight = cluster.fabric().obs().flight;
   EXPECT_GT(flight.recorded(), 0u);
   std::map<obs::FlightEventType, uint64_t> by_type;
-  for (const obs::FlightEvent& e : flight.MergedSnapshot()) by_type[e.type]++;
+  for (const obs::FlightEvent& e : flight.Snapshot()) by_type[e.type]++;
   // A replicated RDMA produce run exercises verbs, commits, HWM advances,
   // and credit grants.
   EXPECT_GT(by_type[obs::FlightEventType::kVerbPosted], 0u);

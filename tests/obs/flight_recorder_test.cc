@@ -10,7 +10,6 @@ namespace {
 
 TEST(FlightRecorderTest, DefaultsToOneShardDefaultCapacity) {
   FlightRecorder fr;
-  EXPECT_EQ(fr.num_shards(), 1u);
   EXPECT_EQ(fr.capacity(), FlightRecorder::kDefaultCapacity);
   EXPECT_TRUE(fr.enabled());
   EXPECT_TRUE(FlightRecorder::compiled_in());
@@ -20,20 +19,19 @@ TEST(FlightRecorderTest, DefaultsToOneShardDefaultCapacity) {
 
 TEST(FlightRecorderTest, CapacityRoundsUpToPowerOfTwo) {
   FlightRecorder fr;
-  fr.Configure(1, 100);
+  fr.Configure(100);
   EXPECT_EQ(fr.capacity(), 128u);
-  fr.Configure(3, 256);
-  EXPECT_EQ(fr.num_shards(), 3u);
+  fr.Configure(256);
   EXPECT_EQ(fr.capacity(), 256u);
 }
 
 TEST(FlightRecorderTest, SnapshotIsOldestToNewest) {
   FlightRecorder fr;
-  fr.Configure(1, 8);
+  fr.Configure(8);
   for (int i = 0; i < 5; i++) {
-    fr.Record(0, 100 * i, FlightEventType::kVerbPosted, i, 0, 0);
+    fr.Record(100 * i, FlightEventType::kVerbPosted, i, 0, 0);
   }
-  std::vector<FlightEvent> snap = fr.Snapshot(0);
+  std::vector<FlightEvent> snap = fr.Snapshot();
   ASSERT_EQ(snap.size(), 5u);
   for (int i = 0; i < 5; i++) {
     EXPECT_EQ(snap[i].ts_ns, 100 * i);
@@ -45,11 +43,11 @@ TEST(FlightRecorderTest, SnapshotIsOldestToNewest) {
 
 TEST(FlightRecorderTest, RingOverwritesOldestAndCountsDropped) {
   FlightRecorder fr;
-  fr.Configure(1, 8);
+  fr.Configure(8);
   for (int i = 0; i < 20; i++) {
-    fr.Record(0, i, FlightEventType::kCommit, i, 0, 0);
+    fr.Record(i, FlightEventType::kCommit, i, 0, 0);
   }
-  std::vector<FlightEvent> snap = fr.Snapshot(0);
+  std::vector<FlightEvent> snap = fr.Snapshot();
   ASSERT_EQ(snap.size(), 8u);
   // The surviving window is the last 8 events, in order.
   for (int i = 0; i < 8; i++) {
@@ -59,59 +57,33 @@ TEST(FlightRecorderTest, RingOverwritesOldestAndCountsDropped) {
   EXPECT_EQ(fr.dropped(), 12u);
 }
 
-TEST(FlightRecorderTest, OutOfRangeShardFallsBackToRingZero) {
-  FlightRecorder fr;
-  fr.Configure(2, 8);
-  fr.Record(7, 1, FlightEventType::kRnr, 42, 0, 0);
-  std::vector<FlightEvent> snap = fr.Snapshot(0);
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].a, 42u);
-  EXPECT_TRUE(fr.Snapshot(1).empty());
-}
-
 TEST(FlightRecorderTest, DisabledRecordsNothing) {
   FlightRecorder fr;
   fr.set_enabled(false);
-  fr.Record(0, 1, FlightEventType::kVerbPosted, 1, 2, 3);
+  fr.Record(1, FlightEventType::kVerbPosted, 1, 2, 3);
   EXPECT_EQ(fr.recorded(), 0u);
   fr.set_enabled(true);
-  fr.Record(0, 2, FlightEventType::kVerbPosted, 1, 2, 3);
+  fr.Record(2, FlightEventType::kVerbPosted, 1, 2, 3);
   EXPECT_EQ(fr.recorded(), 1u);
-}
-
-TEST(FlightRecorderTest, MergedSnapshotOrdersByTimeThenShard) {
-  FlightRecorder fr;
-  fr.Configure(3, 8);
-  // Interleave: shard 2 has the earliest event, shards 0/1 tie at t=50.
-  fr.Record(2, 10, FlightEventType::kVerbPosted, 20, 0, 0);
-  fr.Record(1, 50, FlightEventType::kVerbPosted, 11, 0, 0);
-  fr.Record(0, 50, FlightEventType::kVerbPosted, 10, 0, 0);
-  fr.Record(0, 99, FlightEventType::kVerbPosted, 12, 0, 0);
-  std::vector<FlightEvent> merged = fr.MergedSnapshot();
-  ASSERT_EQ(merged.size(), 4u);
-  EXPECT_EQ(merged[0].a, 20u);  // t=10
-  EXPECT_EQ(merged[1].a, 10u);  // t=50 shard 0 before shard 1
-  EXPECT_EQ(merged[2].a, 11u);
-  EXPECT_EQ(merged[3].a, 12u);
 }
 
 TEST(FlightRecorderTest, SameTimestampSameShardPreservesRingOrder) {
   FlightRecorder fr;
-  fr.Configure(1, 16);
+  fr.Configure(16);
   for (int i = 0; i < 6; i++) {
-    fr.Record(0, 777, FlightEventType::kCreditGrant, i, 0, 0);
+    fr.Record(777, FlightEventType::kCreditGrant, i, 0, 0);
   }
-  std::vector<FlightEvent> merged = fr.MergedSnapshot();
-  ASSERT_EQ(merged.size(), 6u);
-  for (int i = 0; i < 6; i++) EXPECT_EQ(merged[i].a, static_cast<uint32_t>(i));
+  std::vector<FlightEvent> snap = fr.Snapshot();
+  ASSERT_EQ(snap.size(), 6u);
+  for (int i = 0; i < 6; i++) EXPECT_EQ(snap[i].a, static_cast<uint32_t>(i));
 }
 
 TEST(FlightRecorderTest, ChromeTraceIsDeterministic) {
   auto fill = [](FlightRecorder& fr) {
-    fr.Configure(2, 8);
-    fr.Record(0, 1000, FlightEventType::kVerbPosted, 3, 1, 4096);
-    fr.Record(1, 1500, FlightEventType::kCreditGrant, 5, 12, 900);
-    fr.Record(0, 2000, FlightEventType::kHwmAdvance, 0, 0, 42);
+    fr.Configure(8);
+    fr.Record(1000, FlightEventType::kVerbPosted, 3, 1, 4096);
+    fr.Record(1500, FlightEventType::kCreditGrant, 5, 12, 900);
+    fr.Record(2000, FlightEventType::kHwmAdvance, 0, 0, 42);
   };
   FlightRecorder a, b;
   fill(a);
@@ -121,12 +93,11 @@ TEST(FlightRecorderTest, ChromeTraceIsDeterministic) {
   b.WriteChromeTrace(osb);
   EXPECT_EQ(osa.str(), osb.str());
   const std::string json = osa.str();
-  // Chrome-trace shape: traceEvents array, per-shard process metadata,
-  // instant events with microsecond timestamps and the payload words.
+  // Chrome-trace shape: traceEvents array, process metadata, instant
+  // events with microsecond timestamps and the payload words.
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"process_name\""), std::string::npos);
-  EXPECT_NE(json.find("flight-shard0"), std::string::npos);
-  EXPECT_NE(json.find("flight-shard1"), std::string::npos);
+  EXPECT_NE(json.find("flight-recorder"), std::string::npos);
   EXPECT_NE(json.find("\"verb_posted\""), std::string::npos);
   EXPECT_NE(json.find("\"credit_grant\""), std::string::npos);
   EXPECT_NE(json.find("\"hwm_advance\""), std::string::npos);
@@ -152,11 +123,11 @@ TEST(FlightRecorderTest, EventTypeNamesAreStable) {
 
 TEST(FlightRecorderTest, ReconfigureDiscardsEvents) {
   FlightRecorder fr;
-  fr.Configure(1, 8);
-  fr.Record(0, 1, FlightEventType::kVerbPosted, 1, 0, 0);
-  fr.Configure(2, 8);
+  fr.Configure(8);
+  fr.Record(1, FlightEventType::kVerbPosted, 1, 0, 0);
+  fr.Configure(8);
   EXPECT_EQ(fr.recorded(), 0u);
-  EXPECT_TRUE(fr.Snapshot(0).empty());
+  EXPECT_TRUE(fr.Snapshot().empty());
 }
 
 }  // namespace

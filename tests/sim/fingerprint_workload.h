@@ -1,7 +1,5 @@
-// The golden fingerprint workload, shared by the classic determinism test
-// (sim/simulator_determinism_test.cc, which pins the constants) and the
-// sharded-engine tests (sim/sharded_sim_test.cc, which require the engine
-// to reproduce them bit-identically on one shard).
+// The golden fingerprint workload, whose constants
+// sim/simulator_determinism_test.cc pins.
 //
 // The workload schedules a pseudo-random event tree with plenty of
 // equal-timestamp ties and folds every (event id, firing time) pair into
@@ -81,7 +79,7 @@ struct FingerprintWorkload {
 
 /// Seeds the 512 golden roots into `w.sim` — crammed into [0, 1000) ns so
 /// ties are common and FIFO ordering among equal timestamps is exercised
-/// heavily. The caller runs the simulator (or its owning engine).
+/// heavily. The caller runs the simulator.
 inline void SeedFingerprintRoots(FingerprintWorkload& w) {
   Random root_rng(98765);
   for (uint64_t i = 0; i < 512; i++) {

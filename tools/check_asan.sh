@@ -22,7 +22,7 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="$ROOT/build-asan"
 
 cmake --preset asan -S "$ROOT" >/dev/null
-cmake --build "$BUILD_DIR" -j"$(nproc)" --target common_test sim_test sharded_test obs_test churn_test failover_test purgatory_test
+cmake --build "$BUILD_DIR" -j"$(nproc)" --target common_test sim_test obs_test churn_test failover_test purgatory_test
 
 # No LSAN_OPTIONS / suppression file: deployment teardown is now
 # coroutine-aware (Cluster::Shutdown walks brokers -> QPs/sockets ->
@@ -33,10 +33,9 @@ export UBSAN_OPTIONS=print_stacktrace=1:halt_on_error=1
 
 "$BUILD_DIR/tests/common_test"
 "$BUILD_DIR/tests/sim_test"
-"$BUILD_DIR/tests/sharded_test"
 "$BUILD_DIR/tests/obs_test"
 "$BUILD_DIR/tests/churn_test"
 "$BUILD_DIR/tests/failover_test"
 "$BUILD_DIR/tests/purgatory_test"
 
-echo "asan/ubsan: all common + sim + sharded + obs + churn + failover + purgatory tests passed"
+echo "asan/ubsan: all common + sim + obs + churn + failover + purgatory tests passed"

@@ -12,25 +12,11 @@ representative time is the minimum across repetitions, or the median
 aggregate when only aggregates are present — the min/median is what's
 stable across runs on a noisy host.
 
-Parallel-engine variants (names carrying a "threads:N" argument, e.g.
-BM_ShardedParallel/shards:8/threads:4) are gated exactly like every other
-benchmark — the baseline holds one entry per thread count, so a slowdown
-at any parallelism level alone fails the comparison — with one exception:
-when the baseline was captured on a 1-core host (context.host_cores == 1)
-its threads:N>1 times carry no scaling signal, so regressions on those
-variants are reported as warnings instead of failing the gate. In
-addition, a thread-scaling section reports each variant's speedup over
-its own single-threaded (threads:1) time for baseline and current.
-Speedup is reported, not gated: the measured scaling is a property of the
-capture host (a 1-core container cannot show parallel speedup no matter
-the engine).
-
 Usage: tools/compare_simcore.py BASELINE CURRENT [--max-regress 0.10]
 """
 
 import argparse
 import json
-import re
 import sys
 
 
@@ -65,31 +51,6 @@ def representative_times(report):
     return times
 
 
-def thread_groups(times):
-    """Groups 'threads:N' variants: family -> {N: real_time}."""
-    groups = {}
-    for name, t in times.items():
-        m = re.search(r"^(.*)/threads:(\d+)(.*)$", name)
-        if m is None:
-            continue
-        family = m.group(1) + m.group(3)
-        groups.setdefault(family, {})[int(m.group(2))] = t
-    return {f: g for f, g in groups.items() if len(g) > 1 and 1 in g}
-
-
-def print_thread_scaling(label, times):
-    groups = thread_groups(times)
-    if not groups:
-        return
-    print(f"\nthread scaling ({label}; speedup vs threads:1 of the same "
-          f"report):")
-    for family in sorted(groups):
-        g = groups[family]
-        t1 = g[1]
-        cells = [f"{n}T {t1 / g[n]:5.2f}x" for n in sorted(g)]
-        print(f"  {family:50} {'  '.join(cells)}")
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
@@ -98,61 +59,24 @@ def main():
                         help="max allowed relative slowdown (default 0.10)")
     args = parser.parse_args()
 
-    base_report = load_report(args.baseline)
-    cur_report = load_report(args.current)
-    base = representative_times(base_report)
-    cur = representative_times(cur_report)
-
-    # A baseline captured on a 1-core host carries no thread-scaling signal:
-    # its threads:N>1 times are serialized and comparing against them on a
-    # multi-core host (or vice versa) gates on host shape, not the code.
-    # Those comparisons soften to warnings.
-    base_cores = str(base_report.get("context", {}).get("host_cores", ""))
-    cur_cores = str(cur_report.get("context", {}).get("host_cores", ""))
-    single_core_baseline = base_cores == "1"
-    for label, cores in (("baseline", base_cores), ("current", cur_cores)):
-        if cores == "1":
-            print("*" * 72, file=sys.stderr)
-            print(f"* WARNING: the {label} report was captured on a 1-core "
-                  f"host (context.host_cores=1).", file=sys.stderr)
-            print("* Its threads:N>1 times are serialized and carry no "
-                  "thread-scaling signal;", file=sys.stderr)
-            print("* treat every parallel-variant comparison below with "
-                  "suspicion.", file=sys.stderr)
-            print("*" * 72, file=sys.stderr)
-
-    def soft(name):
-        m = re.search(r"/threads:(\d+)", name)
-        return (single_core_baseline and m is not None
-                and int(m.group(1)) > 1)
+    base = representative_times(load_report(args.baseline))
+    cur = representative_times(load_report(args.current))
 
     missing = sorted(set(base) - set(cur))
     unexpected = sorted(set(cur) - set(base))
     regressions = []
-    soft_warnings = []
     print(f"{'benchmark':60} {'baseline':>12} {'current':>12} {'delta':>8}")
     for name in sorted(base):
         if name not in cur:
             continue
         delta = cur[name] / base[name] - 1.0
-        regressed = delta > args.max_regress
         flag = ""
-        if regressed and soft(name):
-            flag = "  WARN (1-core baseline)"
-            soft_warnings.append((name, delta))
-        elif regressed:
+        if delta > args.max_regress:
             flag = "  REGRESSED"
             regressions.append((name, delta))
         print(f"{name:60} {base[name]:12.1f} {cur[name]:12.1f} "
               f"{delta:+7.1%}{flag}")
 
-    print_thread_scaling("baseline", base)
-    print_thread_scaling("current", cur)
-
-    if soft_warnings:
-        print(f"warning: {len(soft_warnings)} threads:N>1 benchmark(s) "
-              f"exceeded the gate but the baseline was captured on a 1-core "
-              f"host (context.host_cores=1); not failing", file=sys.stderr)
     if missing:
         print(f"error: benchmarks missing from current report: "
               f"{', '.join(missing)}", file=sys.stderr)
