@@ -59,19 +59,9 @@ sim::Co<Status> MuxProducer::Connect(KafkaDirectBroker* leader,
   if (!ctrl_or.ok()) co_return ctrl_or.status();
   ctrl_ = ctrl_or.value();
   KD_CO_RETURN_IF_ERROR(co_await EstablishTransport());
-  KD_CO_RETURN_IF_ERROR(co_await RequestAccess(tp, 0));
+  KD_CO_RETURN_IF_ERROR(co_await RequestAccess(0));
   disconnected_ = false;
   co_return Status::OK();
-}
-
-sim::Co<Status> MuxProducer::AddPartition(const kafka::TopicPartitionId& tp) {
-  if (closed_) co_return Status::Disconnected("endpoint closed");
-  if (ctrl_ == nullptr) {
-    co_return Status::FailedPrecondition("AddPartition before Connect");
-  }
-  if (grants_.find(tp) != grants_.end()) co_return Status::OK();
-  // Same transport QP, same control channel — only the grant is new.
-  co_return co_await RequestAccess(tp, 0);
 }
 
 sim::Co<Status> MuxProducer::EstablishTransport() {
@@ -90,18 +80,15 @@ sim::Co<Status> MuxProducer::EstablishTransport() {
   co_return Status::OK();
 }
 
-sim::Co<Status> MuxProducer::RequestAccess(const kafka::TopicPartitionId& tp,
-                                           uint16_t stale_file_id,
+sim::Co<Status> MuxProducer::RequestAccess(uint16_t stale_file_id,
                                            uint64_t rotate_target) {
   co_await ctrl_mu_->Lock();
-  auto git = grants_.find(tp);
-  if (stale_file_id != 0 &&
-      (git == grants_.end() || stale_file_id != git->second.file_id)) {
+  if (stale_file_id != 0 && stale_file_id != grant_.file_id) {
     ctrl_mu_->Unlock();
     co_return Status::OK();  // a concurrent request already rotated
   }
   kafka::RdmaProduceAccessRequest req;
-  req.tp = tp;
+  req.tp = tp_;
   req.exclusive = true;  // the endpoint owns the file; streams share it
   req.stale_file_id = stale_file_id;
   req.broker_qp = broker_qp_num_;
@@ -113,13 +100,11 @@ sim::Co<Status> MuxProducer::RequestAccess(const kafka::TopicPartitionId& tp,
                                   ErrorCodeName(resp.error));
   }
   if (st.ok()) {
-    FileGrant& g = grants_[tp];  // inserted only on success
-    g.tp = tp;
-    g.file_id = resp.file_id;
-    g.addr = resp.addr;
-    g.rkey = resp.rkey;
-    g.capacity = resp.capacity;
-    g.write_pos = resp.write_pos;
+    grant_ = FileGrant{.file_id = resp.file_id,
+                       .addr = resp.addr,
+                       .rkey = resp.rkey,
+                       .capacity = resp.capacity,
+                       .write_pos = resp.write_pos};
   }
   ctrl_mu_->Unlock();
   co_return st;
@@ -159,15 +144,9 @@ sim::Co<StatusOr<MuxOpenResult>> MuxProducer::SendOpen(uint32_t base,
 
 sim::Co<StatusOr<MuxOpenResult>> MuxProducer::OpenStreams(uint32_t base,
                                                           uint32_t count) {
-  co_return co_await OpenStreams(base, count, tp_);
-}
-
-sim::Co<StatusOr<MuxOpenResult>> MuxProducer::OpenStreams(
-    uint32_t base, uint32_t count, const kafka::TopicPartitionId& tp) {
   if (closed_) co_return Status::Disconnected("endpoint closed");
-  if (grants_.find(tp) == grants_.end()) {
-    co_return Status::FailedPrecondition(
-        "no produce grant for partition (AddPartition first)");
+  if (grant_.file_id == 0) {
+    co_return Status::FailedPrecondition("no produce grant (Connect first)");
   }
   for (auto it = streams_.lower_bound(base);
        it != streams_.end() && it->first - base < count; ++it) {
@@ -182,7 +161,6 @@ sim::Co<StatusOr<MuxOpenResult>> MuxProducer::OpenStreams(
   for (uint32_t i = 0; i < res.admitted; i++) {
     StreamState& st = streams_[base + i];
     st.id = base + i;
-    st.tp = tp;
     st.credits = std::make_shared<sim::Semaphore>(
         sim_, std::max<uint32_t>(1, res.credits));
     if (count == 1) st.acked = res.committed;
@@ -270,38 +248,23 @@ sim::Co<Status> MuxProducer::PostRecord(uint32_t stream,
     co_return Status::OK();
   }
   // Resolved after the lock: the stream may have closed while we waited.
-  auto sit = streams_.find(stream);
-  if (sit == streams_.end()) {
+  if (streams_.find(stream) == streams_.end()) {
     post_mu_->Unlock();
     co_return Status::InvalidArgument("stream closed");
   }
-  const kafka::TopicPartitionId tp = sit->second.tp;
-  auto git = grants_.find(tp);
-  if (git == grants_.end()) {
-    post_mu_->Unlock();
-    co_return Status::FailedPrecondition("no grant for stream partition");
-  }
   posting_ = p.get();
-  if (p->batch.size() > git->second.capacity - git->second.write_pos) {
+  if (p->batch.size() > grant_.capacity - grant_.write_pos) {
     // Head file full: rotate via the control channel (§4.2.2); in-flight
     // pipelined writes end at the grant's write_pos.
-    Status rot = co_await RequestAccess(tp, git->second.file_id,
-                                        git->second.write_pos);
+    Status rot = co_await RequestAccess(grant_.file_id, grant_.write_pos);
     if (!rot.ok()) {
       posting_ = nullptr;
       post_mu_->Unlock();
       co_return rot;
     }
-    git = grants_.find(tp);
-    if (git == grants_.end()) {
-      posting_ = nullptr;
-      post_mu_->Unlock();
-      co_return Status::FailedPrecondition("grant lost during rotation");
-    }
   }
-  FileGrant& grant = git->second;
-  uint64_t pos = grant.write_pos;
-  grant.write_pos += p->batch.size();
+  uint64_t pos = grant_.write_pos;
+  grant_.write_pos += p->batch.size();
   // Data write: plain unsignaled Write. The stream id does not fit in the
   // 32-bit immediate, so mux produce always uses the Write + Send shape;
   // RC ordering delivers the notify after the data has landed.
@@ -311,11 +274,11 @@ sim::Co<Status> MuxProducer::PostRecord(uint32_t stream,
   wr.signaled = false;
   wr.local_addr = p->batch.data();
   wr.length = static_cast<uint32_t>(p->batch.size());
-  wr.remote_addr = grant.addr + pos;
-  wr.rkey = grant.rkey;
+  wr.remote_addr = grant_.addr + pos;
+  wr.rkey = grant_.rkey;
   CtrlMsg msg;
   msg.kind = CtrlKind::kProduceNotify;
-  msg.aux = grant.file_id;
+  msg.aux = grant_.file_id;
   msg.value = static_cast<int64_t>(p->batch.size());
   msg.stream = stream;
   p->notify.resize(kCtrlMsgSize);
@@ -546,15 +509,7 @@ sim::Co<Status> MuxProducer::Reconnect() {
     if (recv_cq_ != nullptr) recv_cq_->Shutdown();
     const uint64_t epoch = transport_failures_;
     st = co_await EstablishTransport();
-    if (st.ok()) {
-      // Fresh exclusive grant for every produced-to partition.
-      std::vector<kafka::TopicPartitionId> tps;
-      for (auto& [tp, grant] : grants_) tps.push_back(tp);
-      for (const auto& tp : tps) {
-        st = co_await RequestAccess(tp, 0);
-        if (!st.ok()) break;
-      }
-    }
+    if (st.ok()) st = co_await RequestAccess(0);  // fresh exclusive grant
     if (closed_ || !*alive_) {
       reconnect_mu_->Unlock();
       co_return Status::Disconnected("endpoint closed");

@@ -18,12 +18,6 @@
 // count. Records at or below that count are resolved as committed
 // (exactly-once: never re-sent); the rest are transparently re-posted
 // into the new file.
-//
-// One transport QP carries streams for MULTIPLE partitions (§15 satellite):
-// the endpoint holds one exclusive head-file grant per partition it
-// produces to (AddPartition), each stream binds to one partition at open
-// (OpenStreams' tp parameter, defaulting to the Connect partition), and the
-// notify's file id routes each record to the right partition broker-side.
 #pragma once
 
 #include <deque>
@@ -60,27 +54,16 @@ class MuxProducer {
               net::NodeId node, MuxProducerConfig config);
   ~MuxProducer();
 
-  /// TCP control channel + RC QP + exclusive produce grant on `tp` (the
-  /// endpoint's default partition for streams opened without one).
+  /// TCP control channel + RC QP + exclusive produce grant on `tp`, the
+  /// partition every stream of this endpoint produces to.
   sim::Co<Status> Connect(KafkaDirectBroker* leader,
                           const kafka::TopicPartitionId& tp);
 
-  /// Acquires an exclusive head-file grant for another partition led by
-  /// the same broker, carried over the SAME transport QP and control
-  /// channel. Idempotent per partition.
-  sim::Co<Status> AddPartition(const kafka::TopicPartitionId& tp);
-  /// Partitions this endpoint currently holds produce grants on.
-  size_t num_partitions() const { return grants_.size(); }
-
   /// Opens `count` contiguous streams [base, base+count) with ONE ctrl
   /// round trip. Partial admission returns the admitted prefix plus the
-  /// broker's retry-after hint. Streams bind to the Connect partition.
+  /// broker's retry-after hint.
   sim::Co<StatusOr<MuxOpenResult>> OpenStreams(uint32_t base,
                                                uint32_t count);
-  /// Same, binding the streams to `tp` (must be granted via Connect or
-  /// AddPartition first).
-  sim::Co<StatusOr<MuxOpenResult>> OpenStreams(
-      uint32_t base, uint32_t count, const kafka::TopicPartitionId& tp);
   /// Closes `count` contiguous streams. Produces still waiting on a
   /// stream's credit window, or with a record not yet posted, return
   /// "stream closed"; records already on the wire complete with the
@@ -118,10 +101,9 @@ class MuxProducer {
     bool closed = false;          // failed by CloseStreams before its post
   };
 
-  /// Client-side state of one partition's exclusive head-file grant.
+  /// Client-side state of the exclusive head-file grant.
   struct FileGrant {
-    kafka::TopicPartitionId tp;
-    uint16_t file_id = 0;
+    uint16_t file_id = 0;  // 0 = no grant held (the broker never grants 0)
     uint64_t addr = 0;
     uint32_t rkey = 0;
     uint64_t capacity = 0;
@@ -131,7 +113,6 @@ class MuxProducer {
   /// Client-side view of one open logical stream.
   struct StreamState {
     uint32_t id = 0;
-    kafka::TopicPartitionId tp;  // partition this stream produces to
     /// Shared with the produces parked on it, so no close destroys it
     /// under them; its identity tells a stream from a later re-open.
     std::shared_ptr<sim::Semaphore> credits;
@@ -143,10 +124,8 @@ class MuxProducer {
 
   /// Builds the transport: CQs, QP, CM exchange, ack receives, loops.
   sim::Co<Status> EstablishTransport();
-  /// Exclusive-grant (re)request for one partition over the TCP control
-  /// channel.
-  sim::Co<Status> RequestAccess(const kafka::TopicPartitionId& tp,
-                                uint16_t stale_file_id,
+  /// Exclusive-grant (re)request over the TCP control channel.
+  sim::Co<Status> RequestAccess(uint16_t stale_file_id,
                                 uint64_t rotate_target = 0);
   /// One kMuxOpen round trip over the RDMA ctrl plane.
   sim::Co<StatusOr<MuxOpenResult>> SendOpen(uint32_t base, uint32_t count);
@@ -186,8 +165,7 @@ class MuxProducer {
   net::MessageStreamPtr ctrl_;
   std::vector<std::vector<uint8_t>> ack_bufs_;
 
-  /// Exclusive head-file grants, one per produced-to partition.
-  std::map<kafka::TopicPartitionId, FileGrant> grants_;
+  FileGrant grant_;
 
   std::map<uint32_t, StreamState> streams_;
   /// kMuxGrant waiters keyed by base stream id.

@@ -19,8 +19,6 @@ RdmaProducer::RdmaProducer(sim::Simulator& sim, net::Fabric& fabric,
       post_mu_(std::make_unique<sim::AsyncMutex>(sim)),
       ctrl_mu_(std::make_unique<sim::AsyncMutex>(sim)) {
   notify_imm_ = fabric.obs().metrics.GetCounter("kd.direct.notify.write_imm");
-  notify_send_ =
-      fabric.obs().metrics.GetCounter("kd.direct.notify.write_send");
 }
 
 RdmaProducer::~RdmaProducer() {
@@ -215,30 +213,9 @@ sim::Co<void> RdmaProducer::SenderStage(sim::Simulator& sim,
   wr.length = static_cast<uint32_t>(pending->batch.size());
   wr.remote_addr = self->file_addr_ + pos;
   wr.rkey = self->file_rkey_;
-  const bool separate_send = self->config_.write_send_notification;
-  rdma::WorkRequest notify_wr;
-  if (separate_send) {
-    // Write+Send: the data write carries no notification; a small Send
-    // with the metadata follows, ordered behind the write by RC delivery.
-    wr.opcode = rdma::Opcode::kWrite;
-    wr.signaled = false;
-    CtrlMsg msg;
-    msg.kind = CtrlKind::kProduceNotify;
-    msg.order = order;
-    msg.aux = self->file_id_;
-    msg.value = static_cast<int64_t>(pending->batch.size());
-    pending->notify.resize(kCtrlMsgSize);
-    msg.EncodeTo(pending->notify.data());
-    notify_wr.wr_id = self->next_wr_id_++;
-    notify_wr.opcode = rdma::Opcode::kSend;
-    notify_wr.local_addr = pending->notify.data();
-    notify_wr.length = kCtrlMsgSize;
-    self->notify_send_->Increment();
-  } else {
-    wr.opcode = rdma::Opcode::kWriteWithImm;
-    wr.imm_data = EncodeImm(order, self->file_id_);
-    self->notify_imm_->Increment();
-  }
+  wr.opcode = rdma::Opcode::kWriteWithImm;
+  wr.imm_data = EncodeImm(order, self->file_id_);
+  self->notify_imm_->Increment();
   // Exclusive mode requires arrival order == position order.
   co_await self->post_mu_->Lock();
   if (!*alive) co_return;
@@ -247,14 +224,6 @@ sim::Co<void> RdmaProducer::SenderStage(sim::Simulator& sim,
     co_await sim::Delay(sim, 1000);  // send queue full
     if (!*alive) co_return;
     st = self->qp_->PostSend(wr);
-  }
-  if (st.ok() && separate_send) {
-    st = self->qp_->PostSend(notify_wr);
-    while (st.IsResourceExhausted()) {
-      co_await sim::Delay(sim, 1000);
-      if (!*alive) co_return;
-      st = self->qp_->PostSend(notify_wr);
-    }
   }
   self->post_mu_->Unlock();
   if (!st.ok()) {

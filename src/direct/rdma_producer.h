@@ -29,10 +29,6 @@ struct RdmaProducerConfig {
   bool exclusive = true;
   int max_inflight = 1;
   uint64_t producer_id = 0;
-  /// §4.2.2 "the choice of notification method": false = WriteWithImm (the
-  /// paper's pick, lowest latency); true = a plain RDMA Write followed by
-  /// a Send carrying the metadata (supports >32 bits of metadata).
-  bool write_send_notification = false;
   /// Max completions drained per CQ wakeup in the ack/send-CQ loops.
   /// 1 (default) polls one CQE per wakeup and is schedule-identical to the
   /// pre-batching behaviour; >1 amortizes the wakeup over a batch.
@@ -77,11 +73,9 @@ class RdmaProducer {
     uint16_t order = 0;
     sim::TimeNs sent_at = 0;
     uint64_t payload_bytes = 0;
-    std::vector<uint8_t> batch;   // staging buffer, alive until acked
-    std::vector<uint8_t> notify;  // Write+Send metadata buffer
+    std::vector<uint8_t> batch;  // staging buffer, alive until acked
     std::shared_ptr<sim::Event> done;
     CtrlMsg ack;
-    bool write_failed = false;
   };
 
   sim::Co<Status> ConnectImpl(KafkaDirectBroker* leader,
@@ -157,7 +151,6 @@ class RdmaProducer {
   uint64_t faa_issued_ = 0;
   uint32_t broker_qp_num_ = 0;
   obs::Counter* notify_imm_ = nullptr;
-  obs::Counter* notify_send_ = nullptr;
   bool closed_ = false;
   bool faa_failed_ = false;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

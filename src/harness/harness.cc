@@ -330,6 +330,23 @@ sim::Co<void> PreloadTopic(TestCluster* cluster, std::string topic,
   *done = true;
 }
 
+/// Connects a Kafka-protocol consumer the way `kind` does: over kernel TCP
+/// for kKafka, over OSU's two-sided RDMA channel for kOsuKafka.
+sim::Co<void> ConnectKafkaConsumer(TestCluster* cluster, SystemKind kind,
+                                   kafka::TopicPartitionId tp,
+                                   net::NodeId node,
+                                   kafka::TcpConsumer* consumer) {
+  if (kind == SystemKind::kKafka) {
+    KD_CHECK_OK(co_await consumer->Connect(cluster->Leader(tp)->node()));
+    co_return;
+  }
+  auto chan = co_await osu::OsuConnect(
+      cluster->sim(), cluster->fabric(), cluster->ClientRnic(node),
+      cluster->Leader(tp), cluster->OsuListenerOf(tp));
+  KD_CHECK(chan.ok()) << chan.status().ToString();
+  consumer->ConnectWith(chan.value());
+}
+
 sim::Co<void> ConsumeAll(TestCluster* cluster, SystemKind kind,
                          ConsumeOptions options, std::string topic,
                          WorkloadResult* result, bool* done) {
@@ -339,15 +356,7 @@ sim::Co<void> ConsumeAll(TestCluster* cluster, SystemKind kind,
   sim::TimeNs start = 0;
   if (kind == SystemKind::kKafka || kind == SystemKind::kOsuKafka) {
     kafka::TcpConsumer consumer(cluster->sim(), cluster->tcp(), node);
-    if (kind == SystemKind::kKafka) {
-      KD_CHECK_OK(co_await consumer.Connect(cluster->Leader(tp)->node()));
-    } else {
-      auto chan = co_await osu::OsuConnect(
-          cluster->sim(), cluster->fabric(), cluster->ClientRnic(node),
-          cluster->Leader(tp), cluster->OsuListenerOf(tp));
-      KD_CHECK(chan.ok());
-      consumer.ConnectWith(chan.value());
-    }
+    co_await ConnectKafkaConsumer(cluster, kind, tp, node, &consumer);
     uint32_t max_bytes = static_cast<uint32_t>(
         options.records_per_poll * (options.record_size + 128));
     start = cluster->sim().Now();
@@ -434,15 +443,7 @@ sim::Co<void> EndToEndConsumer(TestCluster* cluster, SystemKind kind,
   };
   if (kind == SystemKind::kKafka || kind == SystemKind::kOsuKafka) {
     kafka::TcpConsumer consumer(cluster->sim(), cluster->tcp(), node);
-    if (kind == SystemKind::kKafka) {
-      KD_CHECK_OK(co_await consumer.Connect(cluster->Leader(tp)->node()));
-    } else {
-      auto chan = co_await osu::OsuConnect(
-          cluster->sim(), cluster->fabric(), cluster->ClientRnic(node),
-          cluster->Leader(tp), cluster->OsuListenerOf(tp));
-      KD_CHECK(chan.ok()) << chan.status().ToString();
-      consumer.ConnectWith(chan.value());
-    }
+    co_await ConnectKafkaConsumer(cluster, kind, tp, node, &consumer);
     while (*consumed < total) {
       auto records = co_await consumer.Poll(tp, 1 << 20);
       KD_CHECK(records.ok()) << records.status().ToString();
@@ -517,7 +518,7 @@ sim::Co<void> EmptyFetchClient(TestCluster* cluster, SystemKind kind,
   net::NodeId node = cluster->AddClientNode("poller");
   if (kind == SystemKind::kKafka || kind == SystemKind::kOsuKafka) {
     kafka::TcpConsumer consumer(cluster->sim(), cluster->tcp(), node);
-    KD_CHECK_OK(co_await consumer.Connect(cluster->Leader(tp)->node()));
+    co_await ConnectKafkaConsumer(cluster, kind, tp, node, &consumer);
     // Position at the log end so every fetch is empty.
     consumer.Seek(cluster->Leader(tp)->GetPartition(tp)->log.log_end_offset());
     for (int i = 0; iterations == 0 || i < iterations; i++) {

@@ -76,13 +76,6 @@ class Fabric {
     return rx_end + cost_.link.propagation_ns;
   }
 
-  /// Reserves only the reverse-path capacity (used for RDMA Read responses,
-  /// which serialize on responder->initiator egress).
-  sim::TimeNs ReserveResponse(NodeId responder, NodeId initiator,
-                              uint64_t payload, sim::TimeNs earliest) {
-    return ReserveTransfer(responder, initiator, payload, earliest);
-  }
-
   uint64_t bytes_sent(NodeId id) const { return nodes_[id].bytes_sent; }
   const CostModel& cost() const { return cost_; }
   sim::Simulator& simulator() { return sim_; }

@@ -73,9 +73,9 @@ class LogLinearHistogram {
   int64_t Percentile(double p) const;
 
   /// Adds every sample of `other` into this histogram. Because buckets are
-  /// position-aligned, merging shard-local histograms is exactly equivalent
-  /// to having Add()ed every sample into one histogram (the per-shard SLO
-  /// aggregation relies on this; see metrics_test.cc MergeEqualsSingle).
+  /// position-aligned, merging is exactly equivalent to having Add()ed
+  /// every sample into one histogram (kdbench sums the per-broker
+  /// histograms this way; see metrics_test.cc MergeEqualsSingle).
   void Merge(const LogLinearHistogram& other);
 
   /// Bucket math, exposed for the registry-vs-exact cross-check test.

@@ -29,21 +29,6 @@ uint64_t SloTracker::total_records() const {
   return n;
 }
 
-void SloTracker::MergeFrom(const SloTracker& other) {
-  for (const auto& [key, src] : other.tenants_) {
-    TenantSlo& dst = tenants_[key];
-    dst.delay.Merge(src.delay);
-    if (src.records > 0) {
-      if (dst.records == 0 || src.first_ns < dst.first_ns)
-        dst.first_ns = src.first_ns;
-      if (dst.records == 0 || src.last_ns > dst.last_ns)
-        dst.last_ns = src.last_ns;
-    }
-    dst.records += src.records;
-    dst.bytes += src.bytes;
-  }
-}
-
 double SloTracker::JainIndex(const std::vector<double>& xs) {
   if (xs.empty()) return 1.0;
   double sum = 0.0, sum_sq = 0.0;

@@ -71,10 +71,6 @@ class SloTracker {
     for (const auto& [key, t] : tenants_) fn(key.first, key.second, t);
   }
 
-  /// Folds another tracker (e.g. a shard-local one) into this one;
-  /// histogram merge is exactly equivalent to single-tracker accumulation.
-  void MergeFrom(const SloTracker& other);
-
   /// Jain fairness index (sum x)^2 / (n * sum x^2) in [1/n, 1]; 1.0 for an
   /// empty or all-zero vector (vacuously fair).
   static double JainIndex(const std::vector<double>& xs);

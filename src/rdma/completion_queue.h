@@ -76,23 +76,12 @@ class CompletionQueue
     co_return self->Poll();
   }
 
-  /// co_await cq.NextFor(timeout) — like Next() but gives up after
-  /// `timeout` ns of virtual time.
-  sim::Co<std::optional<WorkCompletion>> NextFor(sim::TimeNs timeout) {
-    auto self = shared_from_this();
-    if (self->cqes_.empty() && !self->error_) {
-      self->arrival_.Reset();
-      co_await self->arrival_.WaitFor(timeout);
-    }
-    co_return self->Poll();
-  }
-
   /// Delivers a CQE (called by the RNIC model). Overflow trips the error
   /// state and kills every attached QP.
   void Push(const WorkCompletion& wc);
 
   /// Administrative teardown (coroutine-aware shutdown): moves the CQ to
-  /// the error state and wakes any parked Next*/NextBatch waiter so its
+  /// the error state and wakes any parked Next/NextBatch waiter so its
   /// owning poll loop drains the remaining CQEs and runs to completion
   /// instead of leaking a suspended frame. Does NOT tear down attached
   /// QPs — disconnect those first.

@@ -69,8 +69,7 @@ std::shared_ptr<QueuePair> Rnic::CreateQp(
 
 std::shared_ptr<SharedReceiveQueue> Rnic::CreateSrq(int max_wr) {
   if (max_wr <= 0) max_wr = fabric_.cost().rdma.max_srq_wr;
-  return std::make_shared<SharedReceiveQueue>(sim_, max_wr,
-                                              fabric_.obs().metrics);
+  return std::make_shared<SharedReceiveQueue>(max_wr, fabric_.obs().metrics);
 }
 
 }  // namespace rdma

@@ -10,11 +10,10 @@ uint32_t NextSrqNum() {
 }
 }  // namespace
 
-SharedReceiveQueue::SharedReceiveQueue(sim::Simulator& sim, int max_wr,
+SharedReceiveQueue::SharedReceiveQueue(int max_wr,
                                        obs::MetricsRegistry& metrics)
     : max_wr_(max_wr),
       srq_num_(NextSrqNum()),
-      limit_event_(sim),
       posted_counter_(metrics.GetCounter("kd.rdma.srq.posted")),
       consumed_counter_(metrics.GetCounter("kd.rdma.srq.consumed")),
       depth_gauge_(metrics.GetGauge("kd.rdma.srq.depth")) {
@@ -36,19 +35,6 @@ Status SharedReceiveQueue::PostRecv(uint64_t wr_id, uint8_t* buf,
   return Status::OK();
 }
 
-Status SharedReceiveQueue::PostRecv(std::span<const RecvRequest> reqs) {
-  if (pool_.size() + reqs.size() > static_cast<size_t>(max_wr_)) {
-    return Status::ResourceExhausted("SRQ PostRecv: postlist exceeds pool");
-  }
-  for (const RecvRequest& r : reqs) {
-    pool_.push_back(r);
-  }
-  total_posted_ += reqs.size();
-  posted_counter_->Increment(reqs.size());
-  depth_gauge_->Add(static_cast<int64_t>(reqs.size()));
-  return Status::OK();
-}
-
 bool SharedReceiveQueue::TryTake(RecvRequest* out) {
   if (pool_.empty()) return false;
   *out = pool_.front();
@@ -56,17 +42,7 @@ bool SharedReceiveQueue::TryTake(RecvRequest* out) {
   total_consumed_++;
   consumed_counter_->Increment();
   depth_gauge_->Add(-1);
-  CheckLimit();
   return true;
-}
-
-void SharedReceiveQueue::ArmLimit(size_t limit) { limit_ = limit; }
-
-void SharedReceiveQueue::CheckLimit() {
-  if (limit_ == 0 || pool_.size() >= limit_) return;
-  limit_ = 0;  // one-shot: fires once, then must be re-armed
-  limit_events_fired_++;
-  limit_event_.Pulse();
 }
 
 }  // namespace rdma

@@ -9,21 +9,16 @@
 //    error CQE on the receiving QP) while the initiator sees its WR
 //    flushed — unlike the plain-RQ RNR path, where only the initiator
 //    learns of the drop;
-//  - an armed limit (ibv_modify_srq SRQ_LIMIT) fires one async event when
-//    the pool dips below the watermark after a consume, then disarms;
 //  - QP teardown does NOT flush SRQ entries — they stay posted for the
 //    surviving QPs (real SRQ recvs are only flushed when the SRQ itself
 //    is destroyed).
 #pragma once
 
 #include <deque>
-#include <span>
 
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "rdma/verbs.h"
-#include "sim/awaitable.h"
-#include "sim/simulator.h"
 
 namespace kafkadirect {
 namespace rdma {
@@ -33,52 +28,31 @@ class SharedReceiveQueue {
   /// `metrics` registers the process-wide SRQ instruments
   /// (kd.rdma.srq.posted / .consumed / .depth); registration allocates
   /// once here, updates are pointer bumps.
-  SharedReceiveQueue(sim::Simulator& sim, int max_wr,
-                     obs::MetricsRegistry& metrics);
+  SharedReceiveQueue(int max_wr, obs::MetricsRegistry& metrics);
   SharedReceiveQueue(const SharedReceiveQueue&) = delete;
   SharedReceiveQueue& operator=(const SharedReceiveQueue&) = delete;
 
   /// Posts one receive buffer to the shared pool.
   Status PostRecv(uint64_t wr_id, uint8_t* buf, uint32_t len);
 
-  /// Postlist variant: all-or-nothing. Either every request is posted or
-  /// none is (capacity is checked up front).
-  Status PostRecv(std::span<const RecvRequest> reqs);
-
   /// Consumes the pool head (called by an attached QP's responder path).
-  /// False when the pool is drained. Fires the limit event when an armed
-  /// watermark is crossed.
+  /// False when the pool is drained.
   bool TryTake(RecvRequest* out);
-
-  /// Arms the low-watermark event: after the next consume that leaves
-  /// depth() < `limit`, limit_event() pulses once and the limit disarms
-  /// (ibv_modify_srq IBV_SRQ_LIMIT semantics). limit == 0 disarms.
-  void ArmLimit(size_t limit);
-
-  /// Pulsed (not latched) on each armed watermark crossing.
-  sim::Event& limit_event() { return limit_event_; }
 
   size_t depth() const { return pool_.size(); }
   int max_wr() const { return max_wr_; }
   uint32_t srq_num() const { return srq_num_; }
-  size_t armed_limit() const { return limit_; }
 
   uint64_t posted() const { return total_posted_; }
   uint64_t consumed() const { return total_consumed_; }
-  uint64_t limit_events() const { return limit_events_fired_; }
 
  private:
-  void CheckLimit();
-
   int max_wr_;
   uint32_t srq_num_;
   std::deque<RecvRequest> pool_;
-  sim::Event limit_event_;
-  size_t limit_ = 0;  // 0 = disarmed
 
   uint64_t total_posted_ = 0;
   uint64_t total_consumed_ = 0;
-  uint64_t limit_events_fired_ = 0;
 
   obs::Counter* posted_counter_;
   obs::Counter* consumed_counter_;

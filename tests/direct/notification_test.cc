@@ -1,7 +1,9 @@
-// §4.2.2 "the choice of notification method": the Write+Send produce
-// notification must be functionally equivalent to WriteWithImm (the paper
-// microbenchmarks both and picks WriteWithImm for latency; KafkaDirect "only
-// implemented WriteWithImm" — we implement both).
+// §4.2.2 "the choice of notification method": the paper microbenchmarks
+// WriteWithImm and Write+Send and picks WriteWithImm for latency, and
+// KafkaDirect "only implemented WriteWithImm". RdmaProducer does the same:
+// every produce, exclusive or shared, commits with one WriteWithImm. (The
+// broker's Write+Send commit path is MuxProducer's; qp_churn_test.cc and
+// obs_invariants_test.cc cover it.)
 #include <gtest/gtest.h>
 
 #include "kd_test_util.h"
@@ -12,17 +14,17 @@ namespace {
 
 using kafka::TopicPartitionId;
 
+// Parameterized on "notify with Write+Send"; WriteWithImm (false) is the
+// only instance, since it is the only method RdmaProducer implements.
 class NotificationModeTest : public KdClusterTest,
                              public ::testing::WithParamInterface<bool> {};
 
 TEST_P(NotificationModeTest, ExclusiveProduceEquivalent) {
-  bool write_send = GetParam();
   Boot(1, 1, 1);
   TopicPartitionId tp{"t", 0};
   RdmaProducer producer(
       sim_, *fabric_, *tcpnet_, client_node_,
-      RdmaProducerConfig{.exclusive = true, .max_inflight = 8,
-                         .write_send_notification = write_send});
+      RdmaProducerConfig{.exclusive = true, .max_inflight = 8});
   bool done = false;
   auto run = [](KdClusterTest* t, RdmaProducer* p, TopicPartitionId tp,
                 bool* done) -> sim::Co<void> {
@@ -40,7 +42,7 @@ TEST_P(NotificationModeTest, ExclusiveProduceEquivalent) {
   EXPECT_EQ(producer.errors(), 0u);
   kafka::PartitionState* ps = Leader(tp)->GetPartition(tp);
   EXPECT_EQ(ps->log.log_end_offset(), 50);
-  // Committed data identical regardless of notification method.
+  // Every record committed, in order.
   auto data = ps->log.Read(0, 1u << 20, 50).value();
   Slice rest(data);
   int64_t expect = 0;
@@ -51,27 +53,22 @@ TEST_P(NotificationModeTest, ExclusiveProduceEquivalent) {
     rest.RemovePrefix(view.total_size());
   }
   EXPECT_EQ(expect, 50);
-  // The notify counters follow the switch, and every byte is zero-copy.
+  // One WriteWithImm per record, and every byte is zero-copy.
   obs::MetricsRegistry& m = fabric_->obs().metrics;
-  EXPECT_EQ(m.GetCounter("kd.direct.notify.write_send")->value(),
-            write_send ? 50u : 0u);
-  EXPECT_EQ(m.GetCounter("kd.direct.notify.write_imm")->value(),
-            write_send ? 0u : 50u);
+  EXPECT_EQ(m.GetCounter("kd.direct.notify.write_imm")->value(), 50u);
   EXPECT_EQ(m.GetCounter("kd.direct.rdma_produce.zero_copy_bytes")->value(),
             m.GetCounter("kd.broker.0.produce.bytes")->value());
 }
 
 TEST_P(NotificationModeTest, SharedProduceEquivalent) {
-  bool write_send = GetParam();
   Boot(1, 1, 1);
   TopicPartitionId tp{"t", 0};
   int done = 0;
-  auto run = [](KdClusterTest* t, TopicPartitionId tp, bool write_send,
-                char tag, int* done) -> sim::Co<void> {
+  auto run = [](KdClusterTest* t, TopicPartitionId tp, char tag,
+                int* done) -> sim::Co<void> {
     RdmaProducer p(
         t->sim_, *t->fabric_, *t->tcpnet_, t->fabric_->AddNode("n"),
-        RdmaProducerConfig{.exclusive = false, .max_inflight = 4,
-                           .write_send_notification = write_send});
+        RdmaProducerConfig{.exclusive = false, .max_inflight = 4});
     KD_CHECK((co_await p.Connect(t->Leader(tp), tp)).ok());
     std::string v(100, tag);
     for (int i = 0; i < 30; i++) {
@@ -81,58 +78,18 @@ TEST_P(NotificationModeTest, SharedProduceEquivalent) {
     KD_CHECK(p.errors() == 0);
     (*done)++;
   };
-  sim::Spawn(sim_, run(this, tp, write_send, 'a', &done));
-  sim::Spawn(sim_, run(this, tp, write_send, 'b', &done));
+  sim::Spawn(sim_, run(this, tp, 'a', &done));
+  sim::Spawn(sim_, run(this, tp, 'b', &done));
   sim_.RunUntilDone([&]() { return done == 2; }, Seconds(120));
   ASSERT_EQ(done, 2);
   EXPECT_EQ(Leader(tp)->GetPartition(tp)->log.log_end_offset(), 60);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, NotificationModeTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "WriteSend" : "WriteWithImm";
+                         ::testing::Values(false),
+                         [](const ::testing::TestParamInfo<bool>&) {
+                           return "WriteWithImm";
                          });
-
-TEST_F(KdClusterTest, WriteSendSlightlySlowerThanWriteWithImm) {
-  // The paper's reason for picking WriteWithImm: lower latency.
-  Boot(1, 1, 1);
-  TopicPartitionId tp{"t", 0};
-  Histogram imm_lat, send_lat;
-  bool done = false;
-  auto run = [](KdClusterTest* t, TopicPartitionId tp, Histogram* imm,
-                Histogram* send, bool* done) -> sim::Co<void> {
-    {
-      RdmaProducer p(t->sim_, *t->fabric_, *t->tcpnet_,
-                     t->fabric_->AddNode("imm"),
-                     RdmaProducerConfig{.exclusive = true});
-      KD_CHECK((co_await p.Connect(t->Leader(tp), tp)).ok());
-      for (int i = 0; i < 40; i++) {
-        KD_CHECK((co_await p.Produce(Slice("k", 1), Slice("v", 1))).ok());
-      }
-      *imm = p.latencies();
-      p.Close();
-    }
-    co_await sim::Delay(t->sim_, Millis(1));
-    {
-      RdmaProducer p(t->sim_, *t->fabric_, *t->tcpnet_,
-                     t->fabric_->AddNode("ws"),
-                     RdmaProducerConfig{.exclusive = true,
-                                        .write_send_notification = true});
-      KD_CHECK((co_await p.Connect(t->Leader(tp), tp)).ok());
-      for (int i = 0; i < 40; i++) {
-        KD_CHECK((co_await p.Produce(Slice("k", 1), Slice("v", 1))).ok());
-      }
-      *send = p.latencies();
-      p.Close();
-    }
-    *done = true;
-  };
-  sim::Spawn(sim_, run(this, tp, &imm_lat, &send_lat, &done));
-  RunToFlag(&done);
-  EXPECT_GE(send_lat.Median(), imm_lat.Median());
-  EXPECT_LT(send_lat.Median(), imm_lat.Median() + Micros(5));
-}
 
 }  // namespace
 }  // namespace kd

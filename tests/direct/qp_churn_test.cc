@@ -388,60 +388,6 @@ TEST_F(QpChurnTest, CloseStreamsFailsRecordsQueuedForReconnect) {
   DrainShutdown();
 }
 
-// §15 satellite: ONE transport QP carries streams for MULTIPLE
-// partitions. The endpoint takes a second head-file grant over the same
-// control channel (AddPartition) and binds stream ranges to each
-// partition at open; records route by the stream's file id broker-side.
-TEST_F(QpChurnTest, OneQpCarriesStreamsForMultiplePartitions) {
-  auto cfg = MuxConfig();
-  BootWithConfig(cfg, 1, 2, 1);
-  TopicPartitionId tp_a{"t", 0};
-  TopicPartitionId tp_b{"t", 1};
-  constexpr int kPerPartition = 6;
-  bool done = false;
-  auto run = [](QpChurnTest* t, TopicPartitionId tp_a, TopicPartitionId tp_b,
-                bool* done) -> sim::Co<void> {
-    MuxProducer endpoint(t->sim_, *t->fabric_, *t->tcpnet_, t->client_node_,
-                         MuxProducerConfig{});
-    KD_CHECK((co_await endpoint.Connect(t->Leader(tp_a), tp_a)).ok());
-    KD_CHECK((co_await endpoint.AddPartition(tp_b)).ok());
-    KD_CHECK(endpoint.num_partitions() == 2u);
-    // AddPartition is idempotent: a second grant request is a no-op.
-    KD_CHECK((co_await endpoint.AddPartition(tp_b)).ok());
-    KD_CHECK(endpoint.num_partitions() == 2u);
-    auto open_a = co_await endpoint.OpenStreams(1, 4);
-    KD_CHECK(open_a.ok() && open_a.value().admitted == 4u);
-    auto open_b = co_await endpoint.OpenStreams(10, 4, tp_b);
-    KD_CHECK(open_b.ok() && open_b.value().admitted == 4u);
-    for (int r = 0; r < kPerPartition; r++) {
-      uint32_t sa = 1 + static_cast<uint32_t>(r) % 4;
-      uint32_t sb = 10 + static_cast<uint32_t>(r) % 4;
-      auto off_a = co_await endpoint.Produce(sa, Slice("a", 1),
-                                             Slice("to-partition-0"));
-      KD_CHECK(off_a.ok()) << off_a.status().ToString();
-      auto off_b = co_await endpoint.Produce(sb, Slice("b", 1),
-                                             Slice("to-partition-1"));
-      KD_CHECK(off_b.ok()) << off_b.status().ToString();
-    }
-    KD_CHECK((co_await endpoint.Flush()).ok());
-    KD_CHECK((co_await endpoint.CloseStreams(1, 4)).ok());
-    KD_CHECK((co_await endpoint.CloseStreams(10, 4)).ok());
-    endpoint.Close();
-    *done = true;
-  };
-  sim::Spawn(sim_, run(this, tp_a, tp_b, &done));
-  RunToFlag(&done);
-  // Every record landed on the partition its stream was bound to.
-  EXPECT_EQ(Leader(tp_a)->GetPartition(tp_a)->log.log_end_offset(),
-            kPerPartition);
-  EXPECT_EQ(Leader(tp_b)->GetPartition(tp_b)->log.log_end_offset(),
-            kPerPartition);
-  // And they all rode one transport QP.
-  EXPECT_LE(Leader(tp_a)->live_rdma_qps(), 1u);
-  ExpectInvariantsHold();
-  DrainShutdown();
-}
-
 }  // namespace
 }  // namespace kd
 }  // namespace kafkadirect

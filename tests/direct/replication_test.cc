@@ -88,19 +88,25 @@ TEST_F(KdClusterTest, PushReplicationLatencyBelowTcpPull) {
 
   // RDMA produce + RDMA push replication.
   Boot(3, 1, 3, true, true);
-  RdmaProducer rp(sim_, *fabric_, *tcpnet_, client_node_,
-                  RdmaProducerConfig{.exclusive = true});
-  std::vector<int64_t> offsets;
+  int64_t push_median = 0;
   bool done = false;
-  auto rdma_run = [](KdClusterTest* t, RdmaProducer* p, TopicPartitionId tp,
-                     std::vector<int64_t>* offsets,
-                     bool* done) -> sim::Co<void> {
-    KD_CHECK((co_await p->Connect(t->Leader(tp), tp)).ok());
-    co_await RdmaProduceN(p, 30, 64, offsets, done);
-  };
-  sim::Spawn(sim_, rdma_run(this, &rp, tp, &offsets, &done));
-  RunToFlag(&done);
-  int64_t push_median = rp.latencies().Median();
+  {
+    RdmaProducer rp(sim_, *fabric_, *tcpnet_, client_node_,
+                    RdmaProducerConfig{.exclusive = true});
+    std::vector<int64_t> offsets;
+    auto rdma_run = [](KdClusterTest* t, RdmaProducer* p,
+                       TopicPartitionId tp, std::vector<int64_t>* offsets,
+                       bool* done) -> sim::Co<void> {
+      KD_CHECK((co_await p->Connect(t->Leader(tp), tp)).ok());
+      co_await RdmaProduceN(p, 30, 64, offsets, done);
+    };
+    sim::Spawn(sim_, rdma_run(this, &rp, tp, &offsets, &done));
+    RunToFlag(&done);
+    push_median = rp.latencies().Median();
+  }
+  // The producer closed into this cluster's CQs above; drain the cluster
+  // before the next Boot() frees its fabric and metrics registry.
+  DrainShutdown();
 
   // Fresh cluster: TCP produce + TCP pull replication.
   Boot(3, 1, 3, false, false);

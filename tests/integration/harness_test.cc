@@ -83,6 +83,17 @@ TEST(HarnessTest, EmptyFetchLatencyGap) {
   EXPECT_EQ(rdma.records, 50u);
 }
 
+TEST(HarnessTest, OsuEmptyFetchRidesTheOsuTransport) {
+  // OSU-Kafka speaks the Kafka protocol over RDMA Send/Recv, so an empty
+  // fetch must skip the kernel TCP path Kafka pays for.
+  DeploymentConfig deploy;
+  TestCluster cluster(deploy);
+  auto kafka = RunEmptyFetchLatency(cluster, SystemKind::kKafka, 50);
+  auto osu = RunEmptyFetchLatency(cluster, SystemKind::kOsuKafka, 50);
+  EXPECT_EQ(osu.records, 50u);
+  EXPECT_LT(osu.latency.Median(), kafka.latency.Median());
+}
+
 TEST(HarnessTest, EmptyFetchFloodLeavesBrokerCpuIdle) {
   DeploymentConfig deploy;
   deploy.broker.rdma_produce = true;

@@ -160,10 +160,9 @@ struct SignalingCounters {
 
 constexpr int kSignalingRecords = 160;
 
-// The same records over the same Write+Send wire protocol, from either a
-// dedicated RdmaProducer (every notify Send signaled) or a one-stream
-// MuxProducer (selective signaling: one notify Send in 16).
-SignalingCounters RunWriteSend(bool mux) {
+// kSignalingRecords records over one stream of a MuxProducer, which
+// notifies with Write+Send and signals one notify Send in 16.
+SignalingCounters RunMuxStream() {
   DeploymentConfig deploy;
   deploy.broker.rdma_produce = true;
   deploy.broker.qp_mux = true;
@@ -173,31 +172,20 @@ SignalingCounters RunWriteSend(bool mux) {
   const net::NodeId node = cluster.AddClientNode("producer");
   bool done = false;
   auto run = [](TestCluster* c, kafka::TopicPartitionId tp, net::NodeId node,
-                bool mux, bool* done) -> sim::Co<void> {
+                bool* done) -> sim::Co<void> {
     const std::string value(512, 's');
-    if (mux) {
-      kd::MuxProducer p(c->sim(), c->fabric(), c->tcp(), node,
-                        kd::MuxProducerConfig{});
-      KD_CHECK_OK(co_await p.Connect(c->Leader(tp), tp));
-      KD_CHECK((co_await p.OpenStreams(1, 1)).ok());
-      for (int i = 0; i < kSignalingRecords; i++) {
-        KD_CHECK((co_await p.Produce(1, Slice("k", 1), Slice(value))).ok());
-      }
-      KD_CHECK_OK(co_await p.Flush());
-      p.Close();
-    } else {
-      kd::RdmaProducer p(c->sim(), c->fabric(), c->tcp(), node,
-                         kd::RdmaProducerConfig{
-                             .write_send_notification = true});
-      KD_CHECK_OK(co_await p.Connect(c->Leader(tp), tp));
-      for (int i = 0; i < kSignalingRecords; i++) {
-        KD_CHECK((co_await p.Produce(Slice("k", 1), Slice(value))).ok());
-      }
-      p.Close();
+    kd::MuxProducer p(c->sim(), c->fabric(), c->tcp(), node,
+                      kd::MuxProducerConfig{});
+    KD_CHECK_OK(co_await p.Connect(c->Leader(tp), tp));
+    KD_CHECK((co_await p.OpenStreams(1, 1)).ok());
+    for (int i = 0; i < kSignalingRecords; i++) {
+      KD_CHECK((co_await p.Produce(1, Slice("k", 1), Slice(value))).ok());
     }
+    KD_CHECK_OK(co_await p.Flush());
+    p.Close();
     *done = true;
   };
-  sim::Spawn(cluster.sim(), run(&cluster, tp, node, mux, &done));
+  sim::Spawn(cluster.sim(), run(&cluster, tp, node, &done));
   cluster.sim().RunUntilDone([&]() { return done; }, Seconds(60));
   KD_CHECK(done);
   return SignalingCounters{
@@ -210,33 +198,26 @@ SignalingCounters RunWriteSend(bool mux) {
 }
 
 TEST(ObsInvariantsTest, SelectiveSignalingCutsCqesNotBytes) {
-  SignalingCounters every = RunWriteSend(/*mux=*/false);
-  SignalingCounters mux = RunWriteSend(/*mux=*/true);
+  const SignalingCounters mux = RunMuxStream();
 
-  // Same records, same wire protocol: the same bytes land zero-copy —
-  // only the CQE stream thins out.
-  EXPECT_EQ(every.produced, mux.produced);
-  EXPECT_EQ(every.zero_copy, mux.zero_copy);
+  // Every produced byte lands zero-copy; only the CQE stream thins out.
+  EXPECT_GT(mux.produced, 0u);
   EXPECT_EQ(mux.zero_copy, mux.produced);
   EXPECT_EQ(mux.copied, 0u);
 
-  // Signaled WRs (and with them CQEs) drop by roughly the interval; the
-  // broker's notification receives still complete, so compare deltas.
+  // Signaled WRs drop by roughly the interval...
   EXPECT_LE(mux.signaled, mux.posted);
-  EXPECT_LT(mux.signaled * 4, every.signaled);
-  EXPECT_LT(mux.cqes, every.cqes);
-  // The stream open adds one Send each way (kMuxOpen, kMuxGrant), and
-  // each one completes a receive.
-  EXPECT_EQ(every.posted + 2, mux.posted);
-  EXPECT_EQ(every.signaled - mux.signaled, every.cqes + 2 - mux.cqes);
+  EXPECT_LT(mux.signaled * 4, static_cast<uint64_t>(kSignalingRecords));
+  // ...while every receive still completes: one CQE per notify and per
+  // ack, plus one each for the stream open (kMuxOpen, kMuxGrant).
+  EXPECT_EQ(mux.cqes, mux.signaled + 2 * kSignalingRecords + 2);
 }
 
 constexpr uint64_t kNotifyRecords = 100;
 
 // Produces kNotifyRecords records of `record_size` bytes from one exclusive
-// RdmaProducer; returns {WriteWithImm, Write+Send} notification counts.
-std::pair<uint64_t, uint64_t> NotifyCounts(bool write_send,
-                                           size_t record_size) {
+// RdmaProducer; returns its WriteWithImm notification count.
+uint64_t WriteImmNotifies(size_t record_size) {
   DeploymentConfig deploy;
   deploy.broker.rdma_produce = true;
   TestCluster cluster(deploy);
@@ -245,12 +226,9 @@ std::pair<uint64_t, uint64_t> NotifyCounts(bool write_send,
   const net::NodeId node = cluster.AddClientNode("producer");
   bool done = false;
   auto run = [](TestCluster* c, kafka::TopicPartitionId tp, net::NodeId node,
-                bool write_send, size_t record_size,
-                bool* done) -> sim::Co<void> {
+                size_t record_size, bool* done) -> sim::Co<void> {
     kd::RdmaProducer p(c->sim(), c->fabric(), c->tcp(), node,
-                       kd::RdmaProducerConfig{
-                           .max_inflight = 4,
-                           .write_send_notification = write_send});
+                       kd::RdmaProducerConfig{.max_inflight = 4});
     KD_CHECK_OK(co_await p.Connect(c->Leader(tp), tp));
     const std::string value(record_size, 'n');
     for (uint64_t i = 0; i < kNotifyRecords; i++) {
@@ -261,25 +239,19 @@ std::pair<uint64_t, uint64_t> NotifyCounts(bool write_send,
     p.Close();
     *done = true;
   };
-  sim::Spawn(cluster.sim(),
-             run(&cluster, tp, node, write_send, record_size, &done));
+  sim::Spawn(cluster.sim(), run(&cluster, tp, node, record_size, &done));
   cluster.sim().RunUntilDone([&]() { return done; }, Seconds(60));
   KD_CHECK(done);
-  // Conservation holds under either notification method.
+  // Every produced byte landed zero-copy.
   KD_CHECK(CounterValue(cluster, "kd.broker.0.produce.bytes") ==
            CounterValue(cluster, "kd.direct.rdma_produce.zero_copy_bytes"));
-  return {CounterValue(cluster, "kd.direct.notify.write_imm"),
-          CounterValue(cluster, "kd.direct.notify.write_send")};
+  return CounterValue(cluster, "kd.direct.notify.write_imm");
 }
 
-TEST(ObsInvariantsTest, NotificationModeCountersMatchTheKnob) {
-  // Every record notifies the way write_send_notification says, whatever
-  // its size: the record size never switches the method.
-  using Counts = std::pair<uint64_t, uint64_t>;
-  EXPECT_EQ(NotifyCounts(true, 256), Counts(0, kNotifyRecords));
-  EXPECT_EQ(NotifyCounts(false, 256), Counts(kNotifyRecords, 0));
-  EXPECT_EQ(NotifyCounts(true, 8192), Counts(0, kNotifyRecords));
-  EXPECT_EQ(NotifyCounts(false, 8192), Counts(kNotifyRecords, 0));
+TEST(ObsInvariantsTest, EveryRecordNotifiesWithOneWriteWithImm) {
+  // The record size never changes the notification method (§4.2.2).
+  EXPECT_EQ(WriteImmNotifies(256), kNotifyRecords);
+  EXPECT_EQ(WriteImmNotifies(8192), kNotifyRecords);
 }
 
 TEST(ObsInvariantsTest, RingConsumeConservesBytesWithZeroReads) {

@@ -4,8 +4,6 @@
 
 #include <sstream>
 
-#include "common/random.h"
-
 namespace kafkadirect {
 namespace obs {
 namespace {
@@ -74,48 +72,6 @@ TEST(SloTrackerTest, JainIndexBounds) {
   double j = SloTracker::JainIndex({1.0, 2.0, 3.0});
   EXPECT_GT(j, 1.0 / 3.0);
   EXPECT_LT(j, 1.0);
-}
-
-// Shard-local trackers merged must equal one tracker that saw everything —
-// the exactness guarantee MergeFrom/Histogram::Merge documents.
-TEST(SloTrackerTest, MergeFromEqualsSingleTracker) {
-  SloTracker shard0, shard1, single;
-  Random rng(99);
-  for (int i = 0; i < 2000; i++) {
-    uint64_t tenant = rng.Uniform(4);
-    int64_t delay = static_cast<int64_t>(100 + rng.Uniform(1 << 16));
-    uint64_t bytes = 64 + rng.Uniform(1024);
-    int64_t now = 1000 * i;
-    SloTracker& shard = (i % 2 == 0) ? shard0 : shard1;
-    shard.Get("bench", tenant)->Observe(delay, bytes, now);
-    single.Get("bench", tenant)->Observe(delay, bytes, now);
-  }
-  SloTracker merged;
-  merged.MergeFrom(shard0);
-  merged.MergeFrom(shard1);
-  ASSERT_EQ(merged.num_tenants(), single.num_tenants());
-  EXPECT_EQ(merged.total_records(), single.total_records());
-  for (uint64_t tenant = 0; tenant < 4; tenant++) {
-    const TenantSlo* m = merged.Find("bench", tenant);
-    const TenantSlo* s = single.Find("bench", tenant);
-    ASSERT_NE(m, nullptr);
-    ASSERT_NE(s, nullptr);
-    EXPECT_EQ(m->records, s->records);
-    EXPECT_EQ(m->bytes, s->bytes);
-    EXPECT_EQ(m->first_ns, s->first_ns);
-    EXPECT_EQ(m->last_ns, s->last_ns);
-    EXPECT_EQ(m->delay.count(), s->delay.count());
-    EXPECT_EQ(m->delay.min(), s->delay.min());
-    EXPECT_EQ(m->delay.max(), s->delay.max());
-    for (double p : {50.0, 99.0, 99.9}) {
-      EXPECT_EQ(m->delay.Percentile(p), s->delay.Percentile(p)) << p;
-    }
-  }
-  // The merged JSON report is byte-identical to the single tracker's.
-  std::ostringstream osm, oss;
-  merged.WriteJson(osm);
-  single.WriteJson(oss);
-  EXPECT_EQ(osm.str(), oss.str());
 }
 
 TEST(SloTrackerTest, JsonReportShape) {

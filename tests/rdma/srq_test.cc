@@ -165,40 +165,6 @@ TEST_F(SrqTest, QpTeardownDoesNotFlushSharedEntries) {
   EXPECT_EQ(srq_->depth(), 2u);
 }
 
-TEST_F(SrqTest, LimitEventFiresOnceAtWatermarkThenDisarms) {
-  PostSrqBufs(4);
-  srq_->ArmLimit(3);
-  int fires = 0;
-  sim::Spawn(sim_, [](SharedReceiveQueue* srq, int* fires) -> sim::Co<void> {
-    while (true) {
-      co_await srq->limit_event().Wait();
-      (*fires)++;
-    }
-  }(srq_.get(), &fires));
-
-  RecvRequest r;
-  ASSERT_TRUE(srq_->TryTake(&r));  // depth 3: not below the watermark yet
-  sim_.Run();
-  EXPECT_EQ(fires, 0);
-  EXPECT_EQ(srq_->armed_limit(), 3u);
-
-  ASSERT_TRUE(srq_->TryTake(&r));  // depth 2: below watermark -> one event
-  sim_.Run();
-  EXPECT_EQ(fires, 1);
-  EXPECT_EQ(srq_->armed_limit(), 0u);  // one-shot: disarmed
-
-  ASSERT_TRUE(srq_->TryTake(&r));  // further consumes don't re-fire
-  sim_.Run();
-  EXPECT_EQ(fires, 1);
-  EXPECT_EQ(srq_->limit_events(), 1u);
-
-  // Re-arming behaves like a fresh ibv_modify_srq(SRQ_LIMIT).
-  srq_->ArmLimit(1);
-  ASSERT_TRUE(srq_->TryTake(&r));  // depth 0 < 1
-  sim_.Run();
-  EXPECT_EQ(fires, 2);
-}
-
 TEST_F(SrqTest, PostedMinusConsumedEqualsDepth) {
   PostSrqBufs(8);
   RecvRequest r;
@@ -210,18 +176,13 @@ TEST_F(SrqTest, PostedMinusConsumedEqualsDepth) {
 TEST_F(SrqTest, PoolCapacityIsAllOrNothing) {
   PostSrqBufs(14);  // capacity 16: two slots left
   std::vector<uint8_t> buf(16);
-  std::vector<RecvRequest> three(3);
-  for (size_t i = 0; i < three.size(); i++) {
-    three[i] = RecvRequest{100 + i, buf.data(), 16};
-  }
-  // A postlist that does not fit is rejected whole: nothing is posted.
-  EXPECT_TRUE(srq_->PostRecv(std::span<const RecvRequest>(three))
-                  .IsResourceExhausted());
-  EXPECT_EQ(srq_->depth(), 14u);
-  std::vector<RecvRequest> two(three.begin(), three.begin() + 2);
-  EXPECT_TRUE(srq_->PostRecv(std::span<const RecvRequest>(two)).ok());
+  EXPECT_TRUE(srq_->PostRecv(100, buf.data(), 16).ok());
+  EXPECT_TRUE(srq_->PostRecv(101, buf.data(), 16).ok());
   EXPECT_EQ(srq_->depth(), 16u);
+  // A post into a full pool is rejected and leaves the pool untouched.
   EXPECT_TRUE(srq_->PostRecv(200, buf.data(), 16).IsResourceExhausted());
+  EXPECT_EQ(srq_->depth(), 16u);
+  EXPECT_EQ(srq_->posted(), 16u);
 }
 
 TEST_F(SrqTest, QpOwnPostRecvRejectedWhenAttached) {
